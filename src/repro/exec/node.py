@@ -17,6 +17,11 @@ Packet layout (one packet per mailbox operation)::
 
     u32 LE packet length | u8 op | i64 LE token | payload
 
+Both ends set ``TCP_NODELAY``: mailbox packets are small and a round trip
+must not wait out Nagle's algorithm behind the peer's delayed ACK.  A
+payload is bounded by :data:`~repro.streaming.wire.MAX_FRAME_BYTES`; a
+packet announcing more is refused before its body is read.
+
 ``token`` is ``-1`` for fire-and-forget ops and a parent-issued correlation
 id for ``ASK``/``BARRIER`` round trips.  The payload is a wire frame body:
 
@@ -50,7 +55,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from ..exceptions import ExecutionError, InvalidParameterError, WireFormatError
-from ..streaming.wire import decode_frame, encode_frame
+from ..streaming.wire import check_frame_size, decode_frame, encode_frame
 from ..trajectory.piecewise import SegmentRecord
 from .actors import ActorCrash, ActorGroup, _PendingSlot, _revive_exception
 from .backends import ExecutionBackend, TaskOutcome, _isolated_call_remote
@@ -88,6 +93,7 @@ _LOCALHOST = "127.0.0.1"
 # Packet plumbing (shared by parent and worker)
 # ---------------------------------------------------------------------- #
 def _pack_packet(op: int, token: int, payload: bytes) -> bytes:
+    check_frame_size(len(payload))
     header = _PACKET.pack(op, token)
     return _LENGTH.pack(len(header) + len(payload)) + header + payload
 
@@ -114,6 +120,7 @@ def _recv_packet(sock: socket.socket) -> tuple[int, int, bytes] | None:
     (length,) = _LENGTH.unpack(prefix)
     if length < _PACKET.size:
         raise WireFormatError(f"node packet too short ({length} bytes)")
+    check_frame_size(length - _PACKET.size)
     body = _recv_exact(sock, length)
     if body is None:
         return None
@@ -225,6 +232,7 @@ def _node_worker_main(
             if time.monotonic() > deadline:
                 return
             time.sleep(0.05)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
 
     def send(op: int, token: int, payload: bytes) -> None:
@@ -322,8 +330,8 @@ def _node_worker_main(
                         ),
                     )
         stop_heartbeat.set()
-    except OSError:
-        pass  # the parent is gone; nothing left to report to
+    except (OSError, WireFormatError):
+        pass  # the parent is gone or speaks garbage; nothing left to report to
     finally:
         try:
             sock.close()
@@ -438,6 +446,7 @@ class NodeActorGroup(ActorGroup):
                     conn, _ = listener.accept()
                 except TimeoutError:
                     continue
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.settimeout(5.0)
                 index = self._validate_hello(conn, secret, sockets)
                 _send_packet(
@@ -501,8 +510,9 @@ class NodeActorGroup(ActorGroup):
         while True:
             try:
                 packet = _recv_packet(sock)
-            except (OSError, WireFormatError):
-                packet = None
+            except (OSError, WireFormatError) as error:
+                self._mark_dead(index, f"connection lost: {error}")
+                return
             if packet is None:
                 self._mark_dead(index, "connection lost")
                 return

@@ -1126,12 +1126,40 @@ class StreamHub:
             )
         )
 
-    def _register_parent(self, device_id: str) -> None:
-        self._known.add(device_id)
+    def _register(
+        self,
+        device_id: str,
+        shard_i: int,
+        algorithm: str | None = None,
+        epsilon: float | None = None,
+        opts: dict | None = None,
+        *,
+        confirm: bool = False,
+    ) -> None:
+        """Attach the device's sinks, then open its stream on the worker.
+
+        Sinks go first, so a raising sink factory leaves the device wholly
+        unregistered (the next push retries) rather than compressing into
+        no sink.  Default registration is a ``tell``: every actor group
+        delivers one actor's messages in order, so the worker opens the
+        stream before the device's first batch, with no round trip.
+        ``confirm`` asks instead, so invalid configuration fails fast.
+        """
         self._attach_sink(device_id)
+        message = ("register", shard_i, device_id, algorithm, epsilon, opts or {})
+        if confirm:
+            self._group.ask(self._actor_of(shard_i), message)
+        else:
+            self._group.tell(self._actor_of(shard_i), message)
+        self._known.add(device_id)
 
     def _attach_sink(self, device_id: str) -> None:
-        """Create/route the device's sink (runs caller-supplied code)."""
+        """Create/route the device's sinks (runs caller-supplied code).
+
+        All or nothing: the sinks are routed only once every factory has
+        returned a valid sink.
+        """
+        sink: SegmentSink | None = None
         if self._sink_factory is not None:
             sink = self._sink_factory(device_id)
             if not isinstance(sink, SegmentSink):
@@ -1140,9 +1168,9 @@ class StreamHub:
                     f"{device_id!r}, which does not satisfy the SegmentSink "
                     f"protocol (an accept(segment) method)"
                 )
-            self._sinks[device_id] = sink
         elif self._shared_sink is not None:
-            self._sinks[device_id] = self._shared_sink
+            sink = self._shared_sink
+        level_sinks: dict[tuple[str, int], SegmentSink | None] = {}
         if self._level_sink_factory is not None and self._epsilons is not None:
             for level in range(1, len(self._epsilons)):
                 level_sink = self._level_sink_factory(device_id, level)
@@ -1153,7 +1181,10 @@ class StreamHub:
                         f"level {level}, which does not satisfy the SegmentSink "
                         f"protocol (an accept(segment) method)"
                     )
-                self._level_sinks[(device_id, level)] = level_sink
+                level_sinks[(device_id, level)] = level_sink
+        if sink is not None:
+            self._sinks[device_id] = sink
+        self._level_sinks.update(level_sinks)
 
     def _close_sinks(self) -> None:
         """Flush and close every attached sink exactly once (idempotent).
@@ -1377,7 +1408,9 @@ class StreamHub:
         """Open a stream for ``device_id``, optionally overriding defaults.
 
         Returns the live :class:`DeviceStream` on in-process backends;
-        ``None`` under the process backend (the stream lives in a worker).
+        ``None`` under the process and node backends (the stream lives in a
+        worker).  Unlike the implicit registration on first push, this is
+        one round trip to the shard worker on every concurrent backend.
 
         Raises
         ------
@@ -1398,14 +1431,10 @@ class StreamHub:
                 "every device shares the hub-wide epsilons=[...] ladder"
             )
         shard_i = shard_index(device_id, self._n_shards)
-        actor = self._actor_of(shard_i)
-        self._group.ask(
-            actor, ("register", shard_i, device_id, algorithm, epsilon, dict(opts))
-        )
-        self._register_parent(device_id)
+        self._register(device_id, shard_i, algorithm, epsilon, opts, confirm=True)
         # The ask round-trip guarantees the registration was processed, so
         # the new entry is readable without a group-wide barrier.
-        core = self._group.handler(actor)
+        core = self._group.handler(self._actor_of(shard_i))
         if core is None:
             return None
         return core.shards[shard_i].devices[device_id]
@@ -1432,8 +1461,7 @@ class StreamHub:
         if self._concurrent:
             self._surface_new_failures()
         if device_id not in self._known:
-            self._group.ask(actor, ("register", shard_i, device_id, None, None, {}))
-            self._register_parent(device_id)
+            self._register(device_id, shard_i)
         elif device_id in self._failed and self.on_error == "raise":
             error = self._error_for(device_id)
             raise SimplificationError(
@@ -1460,9 +1488,11 @@ class StreamHub:
         worker regroups into per-device SoA blocks for the simplifiers'
         vectorized ``push_block`` path) and return ``0`` — read
         ``stats().segments_emitted`` after a synchronising call instead.
-        The serial backend stays on the per-point reference path, which is
-        also what keeps its ``on_error="raise"`` semantics (raise at the
-        failing record, later records untouched) exact.
+        A device seen for the first time costs no round trip: its
+        registration rides the shard worker's ordered mailbox ahead of its
+        first batch.  The serial backend stays on the per-point reference
+        path, which is also what keeps its ``on_error="raise"`` semantics
+        (raise at the failing record, later records untouched) exact.
         """
         if not self._concurrent:
             emitted = 0
@@ -1485,13 +1515,13 @@ class StreamHub:
             shard_i = shard_index(device_id, self._n_shards)
             actor = self._actor_of(shard_i)
             if device_id not in self._known:
-                # Ship the buffered records before surfacing: a failure
-                # raising here must not strand other devices' buffered
-                # points, exactly as in the quarantine branch below.
-                flush_all()
-                self._surface_new_failures()
-                self._group.ask(actor, ("register", shard_i, device_id, None, None, {}))
-                self._register_parent(device_id)
+                try:
+                    self._register(device_id, shard_i)
+                except BaseException:
+                    # A raising sink factory must not strand the records
+                    # buffered before this one, as in the quarantine branch.
+                    flush_all()
+                    raise
             elif device_id in self._failed and self.on_error == "raise":
                 # Same quarantine contract as push() and the serial path —
                 # but ship the already-buffered records first, so the

@@ -15,6 +15,9 @@ Frame model
 A frame body is ``magic (2B, b"RW") | version (1B) | kind (1B) | payload``.
 On a byte stream (the node backend's sockets) frames travel length-prefixed:
 ``u32 LE body length | body`` — see :func:`pack_frame` / :func:`read_frame`.
+A body longer than :data:`MAX_FRAME_BYTES` is refused on both sides, so a
+corrupt or forged prefix fails loudly instead of stalling the reader on
+gigabytes that never arrive.
 Inside an in-process message (the process backend's pipes) the body travels
 bare, because the pipe already frames messages.
 
@@ -59,6 +62,7 @@ from ..trajectory.soa import PointBlock
 __all__ = [
     "WIRE_MAGIC",
     "WIRE_VERSION",
+    "MAX_FRAME_BYTES",
     "JSON_FRAME",
     "POINT_BATCH_FRAME",
     "POINT_BATCH_JSONL_FRAME",
@@ -70,6 +74,7 @@ __all__ = [
     "register_frame",
     "encode_frame",
     "decode_frame",
+    "check_frame_size",
     "pack_frame",
     "read_frame",
     "group_records",
@@ -90,6 +95,12 @@ WIRE_MAGIC = b"RW"
 
 WIRE_VERSION = 1
 """Wire protocol version; bumped on incompatible layout changes."""
+
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+"""Largest frame body a byte stream may carry (256 MiB).  Far above any
+frame the hub ships — batches are ``block_size`` records, checkpoints a
+few kilobytes per device — yet small enough that a garbage length prefix
+is rejected before the reader waits for, or allocates, its body."""
 
 PointBatch = list[tuple[int, str, PointBlock]]
 """Payload type of the point-batch frames: per-device SoA groups, each
@@ -187,8 +198,18 @@ def decode_frame(body: bytes) -> tuple[str, Any]:
     return frame_type.name, frame_type.decode(body[_HEADER.size :])
 
 
+def check_frame_size(length: int) -> None:
+    """Raise :class:`WireFormatError` if a frame body of ``length`` bytes
+    exceeds :data:`MAX_FRAME_BYTES`."""
+    if length > MAX_FRAME_BYTES:
+        raise WireFormatError(
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+
+
 def pack_frame(body: bytes) -> bytes:
     """Length-prefix one frame body for a byte stream (``u32 LE`` length)."""
+    check_frame_size(len(body))
     return _LENGTH.pack(len(body)) + body
 
 
@@ -196,7 +217,9 @@ def read_frame(reader: BinaryIO) -> bytes | None:
     """Read one length-prefixed frame body from a byte stream.
 
     Returns ``None`` on a clean end-of-stream (no bytes at all); raises
-    :class:`WireFormatError` when the stream ends inside a frame.
+    :class:`WireFormatError` when the stream ends inside a frame, or when
+    the prefix announces more than :data:`MAX_FRAME_BYTES` (before any of
+    the body is read).
     """
     prefix = reader.read(_LENGTH.size)
     if not prefix:
@@ -204,6 +227,7 @@ def read_frame(reader: BinaryIO) -> bytes | None:
     if len(prefix) < _LENGTH.size:
         raise WireFormatError("stream ended inside a frame length prefix")
     (length,) = _LENGTH.unpack(prefix)
+    check_frame_size(length)
     body = reader.read(length)
     if len(body) < length:
         raise WireFormatError(

@@ -17,6 +17,8 @@ import json
 import os
 import signal
 import socket
+import statistics
+import struct
 import threading
 import time
 
@@ -31,6 +33,7 @@ from repro.exec.node import (
     _OP_ASK,
     _OP_HELLO,
     _OP_TELL,
+    _PACKET,
     NODE_PROTOCOL_VERSION,
     NodeActorGroup,
     _decode_error,
@@ -43,7 +46,12 @@ from repro.exec.node import (
 )
 from repro.perf.workloads import build_device_log
 from repro.streaming import CollectingSink, StreamHub, restore_hub
-from repro.streaming.wire import decode_frame, encode_frame, group_records
+from repro.streaming.wire import (
+    MAX_FRAME_BYTES,
+    decode_frame,
+    encode_frame,
+    group_records,
+)
 from repro.trajectory.piecewise import SegmentRecord
 
 FAST_LIVENESS = dict(heartbeat_interval=0.05, heartbeat_timeout=0.6)
@@ -69,6 +77,34 @@ class _Recorder:
 
 def _make_recorder(emit):
     return _Recorder(emit)
+
+
+class _Forger:
+    """Actor handler that, told ``("forge",)``, writes a length prefix past
+    the frame limit straight onto its connection to the parent."""
+
+    def __init__(self, emit) -> None:
+        # emit -> send -> (sock, send_lock): the worker's own connection.
+        send = _closure(emit)["send"]
+        self._sock = _closure(send)["sock"]
+        self._lock = _closure(send)["send_lock"]
+
+    def handle(self, message: object):
+        if message == ("forge",):
+            with self._lock:
+                self._sock.sendall(struct.pack("<I", MAX_FRAME_BYTES + _PACKET.size + 1))
+        return None
+
+
+def _closure(fn) -> dict[str, object]:
+    return {
+        name: cell.cell_contents
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)
+    }
+
+
+def _make_forger(emit):
+    return _Forger(emit)
 
 
 def _segment(t0: float = 0.0, t1: float = 5.0) -> SegmentRecord:
@@ -103,6 +139,17 @@ class TestPacketPlumbing:
         try:
             left.sendall(b"\x01\x00\x00\x00Z")  # length 1 < op+token header
             with pytest.raises(WireFormatError, match="packet too short"):
+                _recv_packet(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_oversized_length_prefix_is_refused_before_the_body(self):
+        left, right = socket.socketpair()
+        right.settimeout(5.0)  # waiting for the body would time out instead
+        try:
+            left.sendall(struct.pack("<I", MAX_FRAME_BYTES + _PACKET.size + 1))
+            with pytest.raises(WireFormatError, match="exceeds"):
                 _recv_packet(right)
         finally:
             left.close()
@@ -281,6 +328,21 @@ class TestNodeActorGroup:
             with contextlib.suppress(ExecutionError):
                 group.close()
 
+    def test_forged_length_prefix_from_a_worker_fails_it_over(self):
+        group = NodeBackend(1, **FAST_LIVENESS).start_actors([_make_forger])
+        try:
+            group.tell(0, ("forge",))
+            with pytest.raises(ExecutionError, match="died|unreachable"):
+                for _ in range(50):  # the reader rejects the prefix at once
+                    group.ask(0, ("ping",))
+                    time.sleep(0.05)
+            assert group._dead == {0}
+            with pytest.raises(ExecutionError, match="exceeds"):
+                group.barrier()  # the recorded crash names the cause
+        finally:
+            with contextlib.suppress(ExecutionError):
+                group.close()
+
     def test_pending_asks_fail_when_the_worker_dies_mid_round_trip(self):
         group = NodeBackend(1, **FAST_LIVENESS).start_actors([_make_recorder])
         pid = group.worker_pids()[0]
@@ -343,6 +405,32 @@ class TestHubTransportCounters:
             0,
             0,
         )
+
+
+class TestTransportLatency:
+    def test_asks_with_batches_in_flight_skip_the_delayed_ack_floor(self):
+        """A round trip behind freshly sent batches must not wait out Nagle's
+        algorithm plus the peer's delayed ACK (~40 ms on Linux)."""
+        records = build_device_log("taxi", 8, 300, seed=5)
+        rounds = 50
+        chunk = len(records) // rounds
+        rtts: list[float] = []
+        with StreamHub(
+            algorithm="operb",
+            epsilon=40.0,
+            shards=4,
+            backend="node",
+            workers=2,
+            block_size=16,
+        ) as hub:
+            for round_i in range(rounds):
+                hub.push_many(records[round_i * chunk : (round_i + 1) * chunk])
+                started = time.perf_counter()
+                hub.register_device(f"probe-{round_i}")
+                rtts.append(time.perf_counter() - started)
+            hub.finish_all()
+        # Generous: the defect reads ~40 ms, a fixed transport well under 1 ms.
+        assert statistics.median(rtts) < 0.010, sorted(rtts)
 
 
 class TestFailoverChaosDrill:

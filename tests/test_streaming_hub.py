@@ -8,6 +8,7 @@ import pytest
 
 from repro import CheckpointError, InvalidParameterError, Point
 from repro.api import register_algorithm, unregister_algorithm
+from repro.perf.workloads import build_device_log
 from repro.streaming import (
     CollectingSink,
     StreamHub,
@@ -916,3 +917,125 @@ class TestSinkProtocolAndLifecycle:
         # attribute itself is the authoritative record.
         assert hub.sink_failures == 1
         assert any("sink close failed" in error.message for error in hub.errors)
+
+
+class TestDefaultRegistration:
+    """Implicit registration on first push: no round trip, and all or nothing."""
+
+    @pytest.mark.parametrize("backend", ["thread", "node"])
+    def test_push_many_over_unseen_devices_asks_nothing(self, backend, monkeypatch):
+        records = build_device_log("taxi", 6, 50, seed=2)
+        with StreamHub(
+            algorithm="operb", epsilon=40.0, shards=4, backend=backend, workers=2
+        ) as hub:
+            asks: list[object] = []
+            real_ask = hub._group.ask
+
+            def spy(actor, message):
+                asks.append(message)
+                return real_ask(actor, message)
+
+            monkeypatch.setattr(hub._group, "ask", spy)
+            hub.push_many(records)
+            assert asks == []
+            assert len(hub) == 6
+            monkeypatch.undo()
+            hub.finish_all()
+            stats = hub.stats()
+        # The workers saw every registration before the device's first batch.
+        assert stats.devices == 6
+        assert stats.points_pushed == len(records)
+
+    @pytest.mark.parametrize("backend", ["serial", "node"])
+    def test_raising_sink_factory_leaves_the_device_unregistered(self, backend):
+        records = build_device_log("taxi", 2, 300, seed=4)
+        reference: dict[str, CollectingSink] = {}
+        with StreamHub(
+            algorithm="operb",
+            epsilon=40.0,
+            shards=4,
+            sink_factory=lambda device_id: reference.setdefault(
+                device_id, CollectingSink()
+            ),
+        ) as clean:
+            clean.push_many(records)
+            clean.finish_all()
+
+        sinks: dict[str, CollectingSink] = {}
+        calls: list[str] = []
+
+        def flaky_factory(device_id):
+            calls.append(device_id)
+            if len(calls) == 2:  # the second device's first sight
+                raise OSError("sink storage unavailable")
+            return sinks.setdefault(device_id, CollectingSink())
+
+        fed: list[int] = []
+
+        def feed(start):
+            for index in range(start, len(records)):
+                fed.append(index)
+                yield records[index]
+
+        workers = {"workers": 2} if backend == "node" else {}
+        with StreamHub(
+            algorithm="operb",
+            epsilon=40.0,
+            shards=4,
+            sink_factory=flaky_factory,
+            backend=backend,
+            **workers,
+        ) as hub:
+            with pytest.raises(OSError, match="unavailable"):
+                hub.push_many(feed(0))
+            failed_at = fed[-1]
+            failed_device = records[failed_at][0]
+            assert failed_device not in hub
+            hub.push_many(feed(failed_at))  # the retry registers it afresh
+            hub.finish_all()
+            stats = hub.stats()
+        assert hub.errors == []
+        assert stats.sink_failures == 0
+        assert calls.count(failed_device) == 2
+        assert sorted(sinks) == sorted(reference)
+        for device_id, sink in sinks.items():
+            assert sink.segments == reference[device_id].segments, device_id
+        assert sum(len(sink.segments) for sink in sinks.values()) == stats.segments_emitted
+
+    def test_rejected_explicit_registration_can_be_retried_by_push(self):
+        sinks: dict[str, CollectingSink] = {}
+        hub = StreamHub(
+            algorithm="operb",
+            epsilon=40.0,
+            sink_factory=lambda device_id: sinks.setdefault(device_id, CollectingSink()),
+        )
+        with pytest.raises(InvalidParameterError):
+            hub.register_device("cab-3", bogus=True)
+        assert "cab-3" not in hub
+        for i in range(50):
+            hub.push("cab-3", Point(float(i * 37 % 113), float(i * 59 % 97), float(i)))
+        hub.finish_all()
+        assert len(sinks["cab-3"].segments) == hub.stats().segments_emitted > 0
+        hub.close()
+
+    def test_raising_level_sink_factory_attaches_no_level(self):
+        calls: list[tuple[str, int]] = []
+
+        def level_factory(device_id, level):
+            calls.append((device_id, level))
+            if len(calls) == 2:  # level 2 of the first device, first try
+                raise OSError("level store unavailable")
+            return CollectingSink()
+
+        hub = StreamHub(
+            algorithm="operb",
+            epsilons=(10.0, 40.0, 160.0),
+            level_sink_factory=level_factory,
+        )
+        with pytest.raises(OSError, match="unavailable"):
+            hub.push("cab-1", Point(0.0, 0.0, 0.0))
+        assert "cab-1" not in hub
+        assert hub._level_sinks == {}
+        hub.push("cab-1", Point(0.0, 0.0, 0.0))
+        assert sorted(hub._level_sinks) == [("cab-1", 1), ("cab-1", 2)]
+        hub.close()

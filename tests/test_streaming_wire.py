@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ class TestStreamFraming:
         frame = pack_frame(encode_frame("json", [1, 2, 3]))
         with pytest.raises(WireFormatError, match="stream ended inside a frame"):
             read_frame(io.BytesIO(frame[:-1]))
+
+    def test_oversized_length_prefix_is_refused_before_the_body(self):
+        forged = struct.pack("<I", wire.MAX_FRAME_BYTES + 1) + b"\x00" * 16
+        stream = io.BytesIO(forged)
+        with pytest.raises(WireFormatError, match="exceeds"):
+            read_frame(stream)
+        assert stream.tell() == 4  # the body was never read
+
+    def test_frame_at_the_limit_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 16)
+        stream = io.BytesIO(pack_frame(b"x" * 16))
+        assert read_frame(stream) == b"x" * 16
+
+    def test_oversized_body_is_refused_at_pack_time(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 16)
+        with pytest.raises(WireFormatError, match="exceeds the 16-byte limit"):
+            pack_frame(b"x" * 17)
 
 
 class TestJsonFrame:
