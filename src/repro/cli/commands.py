@@ -571,7 +571,7 @@ def cmd_query(args) -> int:
         )
         print(
             f"pushdown: {result.partitions_pushdown} partition(s) answered "
-            f"from zone-map sidecars, {result.partitions_scanned} scanned, "
+            f"from zone maps, {result.partitions_scanned} scanned, "
             f"{result.partitions_skipped} pruned "
             f"(scan fraction {result.scan_fraction:.1%})"
         )
@@ -619,11 +619,10 @@ def cmd_query(args) -> int:
 def cmd_compact(args) -> int:
     """``repro-traj compact`` — compact a segment store's partitions.
 
-    Takes the store's single-writer lock, folds every multi-chunk (or
-    crash-damaged) partition into single-chunk form with byte-identical
-    query results, and prints what it reclaimed.  Doubles as the physical
-    repair path after torn-tail recovery: salvaged partitions get their
-    zone maps rewritten exact, restoring aggregate-pushdown eligibility.
+    Takes the store's single-writer lock (truncating any torn tail the
+    open-time recovery found), folds every multi-chunk partition into
+    single-chunk form with byte-identical query results, and prints what
+    it reclaimed.
     """
     from ..store import open_store
 
@@ -636,22 +635,19 @@ def cmd_compact(args) -> int:
         return 0
     if recovered.damaged:
         print(
-            f"recovered {recovered.damaged} torn partition(s) on open "
+            f"recovered {recovered.damaged} torn device log(s) on open "
             f"({recovered.dropped_bytes} byte(s) of torn tail dropped)"
         )
     print(
         f"compacted {report.partitions_compacted}/{report.partitions_considered} "
         f"partition(s) in store {args.store}: {report.chunks_merged} chunk(s) "
-        f"merged, {report.partitions_removed} empty partition(s) removed"
+        f"merged"
     )
     for item in report.compacted:
-        action = "removed" if item.chunks_after == 0 else (
-            f"{item.chunks_before} -> {item.chunks_after} chunk(s)"
-        )
-        note = ", repaired" if item.repaired else ""
         print(
-            f"  {item.key.device_id} bucket {item.key.bucket}: {action}, "
-            f"{item.segments} segment(s){note}"
+            f"  {item.key.device_id} bucket {item.key.bucket}: "
+            f"{item.chunks_before} -> {item.chunks_after} chunk(s), "
+            f"{item.segments} segment(s)"
         )
     return 0
 

@@ -26,12 +26,11 @@ Sub-commands
     Query a segment store (``--device``, ``--window``, ``--bbox``,
     ``--epsilon``, or pyramid selectors ``--level``/``--max-deviation``)
     with zone-map data skipping, or compute sliding-window aggregates over
-    the matches (served from zone-map sidecars alone when the windows fully
+    the matches (served from the zone maps alone when the windows fully
     cover the partitions).
 ``compact``
     Rewrite a store's multi-chunk partitions into single-chunk form —
-    byte-identical query results, fewer chunk headers to decode — and
-    repair any crash-salvaged partitions.
+    byte-identical query results, fewer chunk headers to check.
 ``lint``
     Run the AST-based invariant linter (:mod:`repro.analysis`) over the
     source tree, gated on the committed ``analysis_baseline.json``.
@@ -277,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="leave healthy partitions with fewer than N chunks untouched "
-        "(default 2; crash-damaged partitions are always repaired)",
+        help="leave partitions with fewer than N chunks untouched (default 2)",
     )
     compact.add_argument(
         "--json", action="store_true", help="emit the compaction report as JSON"

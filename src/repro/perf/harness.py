@@ -430,7 +430,7 @@ def _time_store(
     ``aggregate``
         Build the store untimed, then time window aggregates whose windows
         fully cover every partition's time range — the rounds the store
-        answers from the zone-map sidecars alone, so the reported scan
+        answers from the zone maps alone, so the reported scan
         fraction must be 0.
 
     Returns ``(wall, stored segments, compression ratio, scan fraction)``

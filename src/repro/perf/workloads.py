@@ -37,7 +37,7 @@ These suites ship by default:
     device/time-window query per device (ingest throughput plus zone-map
     pruning), ``compact`` ingests in many small batches, compacts and
     queries (the maintenance path), and ``aggregate`` times fully-covered
-    window aggregates answered from the zone-map sidecars alone (scan
+    window aggregates answered from the zone maps alone (scan
     fraction 0).
 ``pyramid``
     Multi-resolution ingest: the same interleaved log as a ``hub`` case,
@@ -108,7 +108,7 @@ STORE_OPS = ("query", "compact", "aggregate")
 ``query`` times ingest plus per-device window queries, ``compact`` times a
 many-small-chunk ingest followed by compaction and the same queries, and
 ``aggregate`` times fully-covered window aggregates answered from the
-zone-map sidecars alone (scan fraction 0)."""
+zone maps alone (scan fraction 0)."""
 
 IDLE_FLEET_PROFILE = "idle-fleet"
 """Pseudo-profile name selecting :func:`build_idle_fleet` in a case.

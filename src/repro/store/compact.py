@@ -1,45 +1,30 @@
-"""Partition compaction: many small chunks → one, byte-identical queries.
+"""Compaction: many small chunks → one per partition, byte-identical queries.
 
-Every :meth:`repro.store.Store.append` adds one chunk to its partition,
-so live ingest (hub sinks flushing small batches) leaves partitions made
-of many tiny chunks — each paying header and decode overhead on every
-scan.  Compaction rewrites such a partition as a *single* chunk holding
-the same rows in the same canonical append order, with the epsilon kept
-per row (the chunk codec stores it per row precisely so multi-epsilon
-partitions compact losslessly).  Query results are byte-identical before
-and after — the property tests lock that in.
+Every :meth:`repro.store.Store.append` adds one chunk per touched bucket
+to the device log, so live ingest (hub sinks flushing small batches)
+leaves partitions made of many tiny chunks — each paying a header check
+and a read on every scan.  Compaction rewrites a device log with one
+chunk per selected partition, holding the same rows in the same
+canonical append order, with the epsilon kept per row (the chunk codec
+stores it per row precisely so multi-epsilon partitions compact
+losslessly).  Partitions below ``min_chunks`` keep their chunk bytes
+verbatim.  Query results are byte-identical before and after — the
+property tests lock that in.
 
-Compaction is also the store's physical repair path: a partition whose
-sidecar was widened by a crash (zone map counts over-approximate the
-committed chunks) gets its zone map rewritten *exact* from the rows that
-actually survive, restoring its eligibility for aggregate pushdown.  A
-crash-window partition that holds no committed rows at all (covering
-sidecar, no data) is dropped outright — data file first, then sidecar,
-so an interrupted drop never creates unindexed data.
-
-The rewrite is crash-safe: the replacement chunk lands via temp file +
-atomic rename, and the exact zone map is written after it.  A crash
-between the two leaves the old covering sidecar over the compacted data —
-over-approximating counts, sound pruning, repaired by the next
-compaction.
+The rewrite is crash-safe: the new log lands via temp file + atomic
+rename, and the zone maps are rebuilt by walking it, so they stay exact.
+Another handle that walked the old log notices the swap at its next read
+(the chunk headers at its extents no longer match) and re-walks.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..exceptions import InvalidParameterError, StoreError
-from ..trajectory.piecewise import SegmentRecord
-from .layout import (
-    DEVICES_DIR,
-    PartitionKey,
-    ZoneMap,
-    encode_chunk_rows,
-    encode_device_dir,
-    partition_zonemap_name,
-    write_zonemap,
-)
+from .layout import PartitionKey, chunk_matches, chunk_size, decode_chunk, encode_chunk_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .store import Store
@@ -49,18 +34,14 @@ __all__ = ["CompactionReport", "PartitionCompaction", "compact_partitions"]
 
 @dataclass(frozen=True, slots=True)
 class PartitionCompaction:
-    """Accounting for one partition the compactor rewrote (or dropped)."""
+    """Accounting for one partition the compactor rewrote."""
 
     key: PartitionKey
     chunks_before: int
     chunks_after: int
-    """1 for a rewrite, 0 for a dropped crash-window partition."""
     segments: int
     bytes_before: int
     bytes_after: int
-    repaired: bool
-    """True when the partition's sidecar over-approximated the committed
-    chunks (crash debris) and was rewritten exact."""
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable view (used by the CLI)."""
@@ -72,7 +53,6 @@ class PartitionCompaction:
             "segments": self.segments,
             "bytes_before": self.bytes_before,
             "bytes_after": self.bytes_after,
-            "repaired": self.repaired,
         }
 
 
@@ -85,13 +65,8 @@ class CompactionReport:
 
     @property
     def partitions_compacted(self) -> int:
-        """Partitions rewritten or dropped by this pass."""
+        """Partitions rewritten by this pass."""
         return len(self.compacted)
-
-    @property
-    def partitions_removed(self) -> int:
-        """Crash-window partitions dropped (no committed rows)."""
-        return sum(1 for item in self.compacted if item.chunks_after == 0)
 
     @property
     def chunks_merged(self) -> int:
@@ -105,57 +80,23 @@ class CompactionReport:
         return {
             "partitions_considered": self.partitions_considered,
             "partitions_compacted": self.partitions_compacted,
-            "partitions_removed": self.partitions_removed,
             "chunks_merged": self.chunks_merged,
             "compacted": [item.as_dict() for item in self.compacted],
         }
 
 
-def _zonemap_of_rows(rows: list[tuple[SegmentRecord, float]]) -> ZoneMap:
-    """The exact single-chunk zone map of compacted ``(record, epsilon)``
-    rows — same covering bounds as the appends that produced them, with
-    the chunk count reset and the aggregates recomputed."""
-    if not rows:
-        raise StoreError("cannot build a zone map over an empty partition")
-    ts: list[float] = []
-    xs: list[float] = []
-    ys: list[float] = []
-    for record, _ in rows:
-        ts.extend((record.start.t, record.end.t))
-        xs.extend((record.start.x, record.end.x))
-        ys.extend((record.start.y, record.end.y))
-    return ZoneMap(
-        t_min=min(ts),
-        t_max=max(ts),
-        x_min=min(xs),
-        x_max=max(xs),
-        y_min=min(ys),
-        y_max=max(ys),
-        segments=len(rows),
-        chunks=1,
-        epsilons=tuple(sorted({epsilon for _, epsilon in rows})),
-        points=sum(record.point_count for record, _ in rows),
-        total_length=sum(record.length for record, _ in rows),
-    )
-
-
 def compact_partitions(
     store: "Store", *, device: str | None = None, min_chunks: int = 2
 ) -> CompactionReport:
-    """Compact every (or one device's) multi-chunk or damaged partition.
+    """Compact every (or one device's) partition of ``min_chunks`` or more
+    chunks into a single chunk.
 
     Acquires the store's single-writer lock (flushing any deferred
-    torn-tail truncations first) and, per selected partition:
-
-    - drops it when no committed rows remain (crash-window debris);
-    - otherwise rewrites the data file as one chunk — canonical append
-      order preserved, per-row epsilons preserved — via temp file +
-      atomic rename, then rewrites the zone map *exact*.
-
-    Healthy partitions with fewer than ``min_chunks`` chunks are left
-    untouched; partitions whose sidecar over-approximates the committed
-    chunks (salvaged after a crash) are always repaired regardless of
-    chunk count.
+    torn-tail truncations first).  Each device log holding a selected
+    partition is rewritten in bucket order — selected partitions as one
+    chunk each, canonical append order and per-row epsilons preserved,
+    the others copied verbatim — via temp file + atomic rename, then
+    re-walked.
 
     Raises
     ------
@@ -170,76 +111,65 @@ def compact_partitions(
     compacted: list[PartitionCompaction] = []
     with store._mutex:
         store._ensure_writer()
-        for key in sorted(store._zonemaps):
-            if device is not None and key.device_id != device:
+        for device_id in sorted(store._logs):
+            if device is not None and device_id != device:
                 continue
-            considered += 1
-            state = store._states[key]
-            zonemap = store._zonemaps[key]
-            exact = (
-                zonemap.segments == state.segments
-                and zonemap.chunks == state.chunks
-                and zonemap.points is not None
-                and zonemap.total_length is not None
-            )
-            if exact and state.chunks < min_chunks:
-                continue
-            rows = store._read_partition(key)
-            data_path = store._partition_path(key)
-            zonemap_path = (
-                store.root
-                / DEVICES_DIR
-                / encode_device_dir(key.device_id)
-                / partition_zonemap_name(key.bucket)
-            )
-            if not rows:
-                # Crash-window partition: a covering sidecar over zero
-                # committed rows.  Drop the data file (if any) before the
-                # sidecar so an interrupted drop never leaves unindexed
-                # data behind.
-                data_path.unlink(missing_ok=True)
-                zonemap_path.unlink(missing_ok=True)
-                del store._zonemaps[key]
-                del store._states[key]
-                compacted.append(
-                    PartitionCompaction(
-                        key=key,
-                        chunks_before=state.chunks,
-                        chunks_after=0,
-                        segments=0,
-                        bytes_before=state.valid_bytes,
-                        bytes_after=0,
-                        repaired=not exact,
-                    )
-                )
-                continue
-            encoded = encode_chunk_rows(rows)
-            temporary = data_path.with_name(data_path.name + ".tmp")
+            path = store._log_path(device_id)
             try:
-                temporary.write_bytes(encoded)
-                temporary.replace(data_path)
+                if path.stat().st_size != store._logs[device_id].size:
+                    # Another handle changed the log since this one walked it.
+                    store._reload_log(device_id)
+                data = path.read_bytes()
             except OSError as error:
                 raise StoreError(
-                    f"cannot compact partition {key}: {error}"
+                    f"cannot read the log of device {device_id!r}: {error}"
                 ) from error
-            fresh = _zonemap_of_rows(rows)
-            write_zonemap(zonemap_path, fresh)
-            compacted.append(
-                PartitionCompaction(
-                    key=key,
-                    chunks_before=state.chunks,
-                    chunks_after=1,
-                    segments=len(rows),
-                    bytes_before=state.valid_bytes,
-                    bytes_after=len(encoded),
-                    repaired=not exact,
+            buckets = sorted(store._logs[device_id].buckets)
+            considered += len(buckets)
+            parts: list[bytes] = []
+            rewritten: list[PartitionCompaction] = []
+            for bucket in buckets:
+                key = PartitionKey(device_id, bucket)
+                extents = store._extents[key]
+                chunks: list[bytes] = []
+                for offset, rows in extents:
+                    chunk = data[offset : offset + chunk_size(rows)]
+                    if not chunk_matches(chunk, rows, bucket):
+                        raise StoreError(
+                            f"the log of device {device_id!r} does not hold "
+                            f"partition {key}'s chunk at byte {offset}"
+                        )
+                    chunks.append(chunk)
+                if len(chunks) < min_chunks:
+                    parts.extend(chunks)
+                    continue
+                merged, _ = encode_chunk_rows(
+                    [row for chunk in chunks for row in decode_chunk(chunk)], bucket
                 )
-            )
-            store._zonemaps[key] = fresh
-            state.chunks = 1
-            state.segments = len(rows)
-            state.valid_bytes = len(encoded)
-            state.pending_repair = False
+                parts.append(merged)
+                rewritten.append(
+                    PartitionCompaction(
+                        key=key,
+                        chunks_before=len(chunks),
+                        chunks_after=1,
+                        segments=store._zonemaps[key].segments,
+                        bytes_before=sum(len(chunk) for chunk in chunks),
+                        bytes_after=len(merged),
+                    )
+                )
+            if not rewritten:
+                continue
+            temporary = path.with_name(path.name + ".tmp")
+            try:
+                temporary.write_bytes(b"".join(parts))
+                os.replace(temporary, path)
+            except OSError as error:
+                temporary.unlink(missing_ok=True)
+                raise StoreError(
+                    f"cannot compact the log of device {device_id!r}: {error}"
+                ) from error
+            store._reload_log(device_id)
+            compacted.extend(rewritten)
     return CompactionReport(
         partitions_considered=considered, compacted=tuple(compacted)
     )

@@ -1,57 +1,52 @@
-"""On-disk layout of the segment store: manifest, partitions, zone maps.
+"""On-disk layout of the segment store: manifest, device logs, chunks.
 
 A store is a directory tree::
 
     store-root/
-      MANIFEST.json            {"format": 1, "kind": "segment-store",
+      MANIFEST.json            {"format": 2, "kind": "segment-store",
                                 "time_bucket": 3600.0}
       devices/
-        d-<encoded-device>/    one directory per device
-          b<bucket>.seg        columnar append-only segment chunks
-          b<bucket>.zm.json    zone map sidecar for that partition
+        d-<encoded-device>.seg one append-only, self-describing log per device
 
-Partitioning is by ``(device, time bucket)``: a segment belongs to the
-bucket ``floor(segment.start.t / time_bucket)`` of its device.  Each
-``.seg`` file is append-only — every :meth:`repro.store.Store.append`
-call adds one self-describing *chunk* holding its segments column by
-column (start/end coordinates, index ranges, patch flags, epsilon), so a
-reader materialises contiguous float64 arrays per column instead of
-parsing rows.  Chunks are little-endian and fully determined by their
-payload: writing the same segments always produces the same bytes (the
-store sits inside the RPA003 determinism scope).
+Partitioning is logical, by ``(device, time bucket)``: a segment belongs
+to the bucket ``floor(segment.start.t / time_bucket)`` of its device.
+Every :meth:`repro.store.Store.append` call adds one *chunk* per touched
+bucket to the device's log, all in a single ``write()``.  A chunk holds
+its segments column by column (start/end coordinates, index ranges,
+patch flags, epsilon), so a reader materialises contiguous float64 arrays
+per column instead of parsing rows.  Chunks are little-endian and fully
+determined by their payload: writing the same segments always produces
+the same bytes (the store sits inside the RPA003 determinism scope).
 
-The zone map sidecar carries the partition's pruning metadata: the exact
-time range and bounding box of every segment in the file, the segment and
-chunk counts, the sorted set of epsilons present, and (format ≥ this
-build) the partition-level aggregates — total point count and total
-segment length — that let fully-covered window aggregates be answered
-from the sidecar alone.  Sidecars are rewritten atomically (temp file +
-rename) *before* the data append, so a crash between the two writes
-leaves zone-map bounds that over-approximate the data — queries may scan
-a partition needlessly, but can never skip one wrongly.  Zone maps are
-therefore always *sound* for data skipping.
+Each chunk header carries the chunk's zone map — its bucket, the exact
+time range and bounding box of its segments, its point count and its
+summed segment length — next to the segment count.  The epsilon set comes
+from the per-row epsilon column, which lets compaction fold chunks
+appended under different bounds into one without losing provenance.  A
+partition's zone map is the fold of its chunks' headers in log order, so
+zone maps are rebuilt on open from committed chunks alone and are always
+*exact*: there is no second file to keep in step with the data.
 
-A crash mid-append can also leave a *torn tail*: a final chunk whose
-header or column payload never fully reached the disk.
-:func:`decode_chunks` raises :class:`TornChunkError` there — a
-:class:`~repro.exceptions.StoreError` carrying the byte offset where the
-committed prefix ends — and :func:`salvage_chunks` /
-:func:`scan_partition_file` use that offset to recover the valid prefix
-instead of poisoning the whole partition.
+A crash mid-append can leave a *torn tail*: a final chunk whose header or
+column payload never fully reached the disk.  :func:`scan_device_log`
+walks the chunk headers without decoding payloads and stops at the first
+torn chunk, reporting it as a :class:`TornChunkError` that carries the
+byte offset where the committed prefix ends; recovery truncates there.
 
-Device directory names are percent-encoded (prefixed ``d-`` so no device
-id can collide with a path component like ``..``); bucket indices may be
-negative (``b-3.seg`` holds timestamps below zero).
+Device log names are percent-encoded and prefixed ``d-`` so no device id
+can collide with a path component like ``..``; bucket indices may be
+negative (timestamps below zero).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator, Sequence
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -66,28 +61,29 @@ __all__ = [
     "MANIFEST_NAME",
     "STORE_FORMAT",
     "STORE_KIND",
+    "ChunkInfo",
+    "DeviceLogScan",
     "PartitionKey",
-    "PartitionScan",
+    "SegmentColumns",
     "TornChunkError",
     "ZoneMap",
     "bucket_of",
-    "bucket_of_data_name",
+    "chunk_matches",
+    "chunk_size",
+    "decode_chunk",
     "decode_chunks",
-    "decode_device_dir",
+    "decode_device_name",
+    "device_log_name",
+    "device_of_log_name",
     "encode_chunk",
     "encode_chunk_rows",
-    "encode_device_dir",
+    "encode_device_name",
     "load_manifest",
-    "partition_data_name",
-    "partition_zonemap_name",
-    "read_zonemap",
-    "salvage_chunks",
-    "scan_partition_file",
+    "scan_device_log",
     "write_manifest",
-    "write_zonemap",
 ]
 
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 """Version stamp of the store layout, bumped on incompatible changes."""
 
 STORE_KIND = "segment-store"
@@ -95,16 +91,21 @@ STORE_KIND = "segment-store"
 
 MANIFEST_NAME = "MANIFEST.json"
 DEVICES_DIR = "devices"
+LOG_SUFFIX = ".seg"
 
 LOCK_NAME = "LOCK"
 """File name of the store's single-writer lock (see
 :mod:`repro.store.locking`)."""
 
-CHUNK_VERSION = 1
+CHUNK_VERSION = 2
 """Version stamp of the columnar chunk encoding."""
 
 _MAGIC = b"RSEG"
-_HEADER = struct.Struct("<4sII")  # magic, chunk version, segment count
+# magic, chunk version, segment count, bucket, t/x/y min/max, points,
+# total length.
+_HEADER = struct.Struct("<4sIIq6dqd")
+_COLUMNS_BEFORE_EPSILON = 6 * 8 + 4 * 8 + 1
+_ROW_BYTES = _COLUMNS_BEFORE_EPSILON + 8
 
 _DEVICE_PREFIX = "d-"
 _FLAG_PATCHED_START = 1
@@ -169,7 +170,7 @@ def load_manifest(root: Path) -> dict[str, object]:
 
 
 # --------------------------------------------------------------------- #
-# Partition naming
+# Partition and device log naming
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True, slots=True, order=True)
 class PartitionKey:
@@ -191,42 +192,34 @@ def bucket_of(t: float, time_bucket: float) -> int:
     return int(t // time_bucket)
 
 
-def encode_device_dir(device_id: str) -> str:
-    """Filesystem-safe directory name of a device id (reversible)."""
+def encode_device_name(device_id: str) -> str:
+    """Filesystem-safe name of a device id (reversible)."""
     return _DEVICE_PREFIX + quote(device_id, safe="")
 
 
-def decode_device_dir(name: str) -> str:
-    """Inverse of :func:`encode_device_dir`.
+def decode_device_name(name: str) -> str:
+    """Inverse of :func:`encode_device_name`.
 
     Raises
     ------
     StoreError
-        When ``name`` is not an encoded device directory name.
+        When ``name`` is not an encoded device name.
     """
     if not name.startswith(_DEVICE_PREFIX):
-        raise StoreError(f"not an encoded device directory name: {name!r}")
+        raise StoreError(f"not an encoded device name: {name!r}")
     return unquote(name[len(_DEVICE_PREFIX):])
 
 
-def partition_data_name(bucket: int) -> str:
-    """File name of a partition's columnar segment log."""
-    return f"b{bucket}.seg"
+def device_log_name(device_id: str) -> str:
+    """File name of a device's segment log under ``devices/``."""
+    return encode_device_name(device_id) + LOG_SUFFIX
 
 
-def partition_zonemap_name(bucket: int) -> str:
-    """File name of a partition's zone map sidecar."""
-    return f"b{bucket}.zm.json"
-
-
-def bucket_of_data_name(name: str) -> int | None:
-    """Bucket index of a ``b<bucket>.seg`` file name (None when not one)."""
-    if not (name.startswith("b") and name.endswith(".seg")):
+def device_of_log_name(name: str) -> str | None:
+    """Device id of a ``d-<encoded>.seg`` file name (None when not one)."""
+    if not (name.startswith(_DEVICE_PREFIX) and name.endswith(LOG_SUFFIX)):
         return None
-    try:
-        return int(name[1:-4])
-    except ValueError:
-        return None
+    return decode_device_name(name[: -len(LOG_SUFFIX)])
 
 
 # --------------------------------------------------------------------- #
@@ -234,18 +227,16 @@ def bucket_of_data_name(name: str) -> int | None:
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True, slots=True)
 class ZoneMap:
-    """Pruning metadata of one partition.
+    """Pruning metadata of one partition (or one chunk).
 
-    The bounds are *covering*: every segment in the partition's data file
-    lies inside ``[t_min, t_max]`` × ``[x_min, x_max]`` × ``[y_min, y_max]``
-    and carries one of the listed epsilons.  A query may skip the partition
-    whenever its predicate cannot intersect these bounds.
-
-    ``points`` and ``total_length`` are partition-level aggregates (total
-    stored point count and summed segment length) that let a window
-    aggregate fully covering the partition be answered from the sidecar
-    alone.  They are ``None`` when the sidecar predates them (legacy
-    stores), in which case aggregate pushdown falls back to scanning.
+    The bounds are exact: every segment in the partition lies inside
+    ``[t_min, t_max]`` × ``[x_min, x_max]`` × ``[y_min, y_max]`` and the
+    extremes are attained, every listed epsilon is carried by some row.
+    A query may skip the partition whenever its predicate cannot
+    intersect these bounds.  ``points`` and ``total_length`` are the
+    partition-level aggregates (total stored point count and summed
+    segment length) that let a window aggregate fully covering the
+    partition be answered from the zone map alone.
     """
 
     t_min: float
@@ -257,37 +248,16 @@ class ZoneMap:
     segments: int
     chunks: int
     epsilons: tuple[float, ...]
-    points: int | None = None
-    total_length: float | None = None
-
-    @classmethod
-    def of_batch(cls, segments: list[SegmentRecord], epsilon: float) -> "ZoneMap":
-        """Zone map covering exactly one appended batch."""
-        if not segments:
-            raise StoreError("cannot build a zone map over an empty batch")
-        ts: list[float] = []
-        xs: list[float] = []
-        ys: list[float] = []
-        for record in segments:
-            ts.extend((record.start.t, record.end.t))
-            xs.extend((record.start.x, record.end.x))
-            ys.extend((record.start.y, record.end.y))
-        return cls(
-            t_min=min(ts),
-            t_max=max(ts),
-            x_min=min(xs),
-            x_max=max(xs),
-            y_min=min(ys),
-            y_max=max(ys),
-            segments=len(segments),
-            chunks=1,
-            epsilons=(epsilon,),
-            points=sum(record.point_count for record in segments),
-            total_length=sum(record.length for record in segments),
-        )
+    points: int
+    total_length: float
 
     def merge(self, other: "ZoneMap") -> "ZoneMap":
-        """Covering union of two zone maps (append = merge with the batch)."""
+        """Union of two zone maps; ``other`` is the later chunk.
+
+        Folding chunk zone maps in log order is what both the writer and
+        the open-time header walk do, so their ``total_length`` sums
+        agree bit for bit.
+        """
         return ZoneMap(
             t_min=min(self.t_min, other.t_min),
             t_max=max(self.t_max, other.t_max),
@@ -298,16 +268,8 @@ class ZoneMap:
             segments=self.segments + other.segments,
             chunks=self.chunks + other.chunks,
             epsilons=tuple(sorted(set(self.epsilons) | set(other.epsilons))),
-            points=(
-                self.points + other.points
-                if self.points is not None and other.points is not None
-                else None
-            ),
-            total_length=(
-                self.total_length + other.total_length
-                if self.total_length is not None and other.total_length is not None
-                else None
-            ),
+            points=self.points + other.points,
+            total_length=self.total_length + other.total_length,
         )
 
     # ------------------------------------------------------------------ #
@@ -332,84 +294,6 @@ class ZoneMap:
         """Whether any contained segment was produced under ``epsilon``."""
         return epsilon in self.epsilons
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable view (sorted keys make the bytes canonical)."""
-        return {
-            "format": STORE_FORMAT,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "segments": self.segments,
-            "chunks": self.chunks,
-            "epsilons": list(self.epsilons),
-            "points": self.points,
-            "total_length": self.total_length,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "ZoneMap":
-        """Rebuild a zone map from :meth:`to_dict` output.
-
-        ``points``/``total_length`` default to ``None`` so sidecars written
-        before the aggregate fields existed keep loading (and simply opt
-        their partition out of aggregate pushdown).
-        """
-        points = payload.get("points")
-        total_length = payload.get("total_length")
-        try:
-            return cls(
-                t_min=float(payload["t_min"]),  # type: ignore[arg-type]
-                t_max=float(payload["t_max"]),  # type: ignore[arg-type]
-                x_min=float(payload["x_min"]),  # type: ignore[arg-type]
-                x_max=float(payload["x_max"]),  # type: ignore[arg-type]
-                y_min=float(payload["y_min"]),  # type: ignore[arg-type]
-                y_max=float(payload["y_max"]),  # type: ignore[arg-type]
-                segments=int(payload["segments"]),  # type: ignore[arg-type]
-                chunks=int(payload["chunks"]),  # type: ignore[arg-type]
-                epsilons=tuple(
-                    float(value) for value in payload["epsilons"]  # type: ignore[union-attr]
-                ),
-                points=int(points) if points is not None else None,  # type: ignore[arg-type]
-                total_length=(
-                    float(total_length) if total_length is not None else None  # type: ignore[arg-type]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreError(f"malformed zone map payload: {error!r}") from error
-
-
-def write_zonemap(path: Path, zonemap: ZoneMap) -> None:
-    """Write a zone map sidecar atomically (temp file + rename)."""
-    try:
-        text = json.dumps(zonemap.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as error:
-        raise StoreError(f"zone map is not strict-JSON serialisable: {error}") from error
-    temporary = path.with_name(path.name + ".tmp")
-    temporary.write_text(text)
-    temporary.replace(path)
-
-
-def read_zonemap(path: Path) -> ZoneMap:
-    """Load a zone map sidecar.
-
-    Raises
-    ------
-    StoreError
-        When the sidecar is unreadable or malformed.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as error:
-        raise StoreError(f"cannot read zone map {str(path)!r}: {error}") from error
-    except ValueError as error:
-        raise StoreError(f"zone map {str(path)!r} is not valid JSON: {error}") from error
-    if not isinstance(payload, dict):
-        raise StoreError(f"zone map {str(path)!r} must be a JSON object")
-    return ZoneMap.from_dict(payload)
-
 
 # --------------------------------------------------------------------- #
 # Columnar chunk codec
@@ -419,7 +303,7 @@ class TornChunkError(StoreError):
 
     ``offset`` is the byte offset where the last fully-committed chunk
     ends — everything before it decodes cleanly, everything from it on is
-    the torn (or corrupt) tail.  Recovery truncates the file to ``offset``.
+    the torn (or corrupt) tail.  Recovery truncates the log to ``offset``.
 
     The keyword parameters carry defaults so ``cls(message)`` revival
     across process boundaries works (RPA005); a revived instance keeps
@@ -434,229 +318,270 @@ class TornChunkError(StoreError):
         self.reason = reason
 
 
-def encode_chunk_rows(rows: list[tuple[SegmentRecord, float]]) -> bytes:
-    """Encode ``(record, epsilon)`` rows as one self-describing chunk.
-
-    Layout (all little-endian): the header (magic, version, count), six
-    float64 columns (start x/y/t, end x/y/t), four int64 columns (first,
-    last, point count, covered last index), one uint8 flag column (bit 0 =
-    patched start, bit 1 = patched end) and a float64 epsilon column.  The
-    epsilon column is per-row, so compaction can rewrite chunks appended
-    under different bounds into one chunk without losing provenance.
-    """
-    n = len(rows)
-    start_x = np.fromiter((s.start.x for s, _ in rows), dtype="<f8", count=n)
-    start_y = np.fromiter((s.start.y for s, _ in rows), dtype="<f8", count=n)
-    start_t = np.fromiter((s.start.t for s, _ in rows), dtype="<f8", count=n)
-    end_x = np.fromiter((s.end.x for s, _ in rows), dtype="<f8", count=n)
-    end_y = np.fromiter((s.end.y for s, _ in rows), dtype="<f8", count=n)
-    end_t = np.fromiter((s.end.t for s, _ in rows), dtype="<f8", count=n)
-    first = np.fromiter((s.first_index for s, _ in rows), dtype="<i8", count=n)
-    last = np.fromiter((s.last_index for s, _ in rows), dtype="<i8", count=n)
-    count = np.fromiter((s.point_count for s, _ in rows), dtype="<i8", count=n)
-    covered = np.fromiter((s.covered_last_index for s, _ in rows), dtype="<i8", count=n)
-    flags = np.fromiter(
-        (
-            (_FLAG_PATCHED_START if s.patched_start else 0)
-            | (_FLAG_PATCHED_END if s.patched_end else 0)
-            for s, _ in rows
-        ),
-        dtype="u1",
-        count=n,
-    )
-    eps = np.fromiter((epsilon for _, epsilon in rows), dtype="<f8", count=n)
-    parts = [
-        _HEADER.pack(_MAGIC, CHUNK_VERSION, n),
-        start_x.tobytes(), start_y.tobytes(), start_t.tobytes(),
-        end_x.tobytes(), end_y.tobytes(), end_t.tobytes(),
-        first.tobytes(), last.tobytes(), count.tobytes(), covered.tobytes(),
-        flags.tobytes(),
-        eps.tobytes(),
-    ]
-    return b"".join(parts)
+def chunk_size(rows: int) -> int:
+    """Byte length of a whole chunk (header included) holding ``rows``."""
+    return _HEADER.size + rows * _ROW_BYTES
 
 
-def encode_chunk(segments: list[SegmentRecord], epsilon: float) -> bytes:
-    """Encode one append batch (uniform epsilon) as a columnar chunk."""
-    return encode_chunk_rows([(segment, epsilon) for segment in segments])
+class SegmentColumns:
+    """The columns of a run of segments, built in one pass and sliced into
+    chunks — so a multi-bucket append pays the per-row Python work once,
+    not once per column per chunk."""
 
+    __slots__ = ("coords", "indices", "flags", "epsilons", "lengths")
 
-def _chunk_payload_size(n: int) -> int:
-    """Byte length of a chunk's column payload (header excluded)."""
-    return n * (6 * 8 + 4 * 8 + 1 + 8)
-
-
-def _chunk_extent(
-    data: bytes, offset: int, total: int, source: str
-) -> tuple[int, int]:
-    """Validate one chunk header at ``offset``; return ``(row count, end)``.
-
-    Raises :class:`TornChunkError` (offset = the chunk's start, i.e. the
-    end of the committed prefix) on a truncated header/payload or a bad
-    magic, and a plain :class:`StoreError` on an unsupported chunk version
-    — a version from the future is valid data this build must not salvage
-    away.
-    """
-    if offset + _HEADER.size > total:
-        raise TornChunkError(
-            f"truncated chunk header in {source} at byte {offset}",
-            offset=offset,
-            reason="truncated chunk header",
+    def __init__(
+        self, records: Sequence[SegmentRecord], epsilons: Sequence[float]
+    ) -> None:
+        n = len(records)
+        self.coords = np.array(
+            [(s.start.x, s.start.y, s.start.t, s.end.x, s.end.y, s.end.t) for s in records],
+            dtype="<f8",
+        ).reshape(n, 6)
+        self.indices = np.array(
+            [(s.first_index, s.last_index, s.point_count, s.covered_last_index) for s in records],
+            dtype="<i8",
+        ).reshape(n, 4)
+        self.flags = np.array(
+            [
+                (_FLAG_PATCHED_START if s.patched_start else 0)
+                | (_FLAG_PATCHED_END if s.patched_end else 0)
+                for s in records
+            ],
+            dtype="u1",
         )
-    magic, version, n = _HEADER.unpack_from(data, offset)
+        self.epsilons = np.array(epsilons, dtype="<f8").reshape(n)
+        self.lengths = [s.length for s in records]
+
+    def first_non_finite(self) -> int | None:
+        """Index of the first segment with a non-finite coordinate."""
+        finite = np.isfinite(self.coords).all(axis=1)
+        return None if finite.all() else int(np.argmin(finite))
+
+    def chunk(self, start: int, stop: int, bucket: int) -> tuple[bytes, ZoneMap]:
+        """Encode segments ``[start, stop)`` as one chunk of ``bucket``.
+
+        Returns the chunk bytes and the chunk's zone map — exactly the
+        values its header carries.  Layout (all little-endian): the header
+        (magic, version, count, bucket, t/x/y min/max, points, total
+        length), six float64 columns (start x/y/t, end x/y/t), four int64
+        columns (first, last, point count, covered last index), one uint8
+        flag column (bit 0 = patched start, bit 1 = patched end) and a
+        float64 epsilon column.
+        """
+        n = stop - start
+        if n <= 0:
+            raise StoreError("cannot encode an empty chunk")
+        coords = self.coords[start:stop]
+        low = coords.min(axis=0).tolist()
+        high = coords.max(axis=0).tolist()
+        eps = self.epsilons[start:stop]
+        zonemap = ZoneMap(
+            t_min=min(low[2], low[5]),
+            t_max=max(high[2], high[5]),
+            x_min=min(low[0], low[3]),
+            x_max=max(high[0], high[3]),
+            y_min=min(low[1], low[4]),
+            y_max=max(high[1], high[4]),
+            segments=n,
+            chunks=1,
+            epsilons=tuple(sorted(set(eps.tolist()))),
+            points=int(self.indices[start:stop, 2].sum()),
+            total_length=sum(self.lengths[start:stop]),
+        )
+        header = _HEADER.pack(
+            _MAGIC, CHUNK_VERSION, n, bucket,
+            zonemap.t_min, zonemap.t_max, zonemap.x_min, zonemap.x_max,
+            zonemap.y_min, zonemap.y_max, zonemap.points, zonemap.total_length,
+        )
+        # Transposed row blocks serialise column after column.
+        data = b"".join((
+            header,
+            coords.T.tobytes(),
+            self.indices[start:stop].T.tobytes(),
+            self.flags[start:stop].tobytes(),
+            eps.tobytes(),
+        ))
+        return data, zonemap
+
+
+def encode_chunk_rows(
+    rows: Sequence[tuple[SegmentRecord, float]], bucket: int
+) -> tuple[bytes, ZoneMap]:
+    """Encode ``(record, epsilon)`` rows of one bucket as one chunk; see
+    :meth:`SegmentColumns.chunk` for the layout."""
+    columns = SegmentColumns([record for record, _ in rows], [eps for _, eps in rows])
+    return columns.chunk(0, len(rows), bucket)
+
+
+def encode_chunk(
+    segments: Sequence[SegmentRecord], epsilon: float, bucket: int
+) -> tuple[bytes, ZoneMap]:
+    """Encode one append batch (uniform epsilon, one bucket) as a chunk."""
+    return SegmentColumns(segments, [epsilon] * len(segments)).chunk(0, len(segments), bucket)
+
+
+@dataclass(frozen=True, slots=True)
+class ChunkInfo:
+    """One committed chunk found by the header walk of a device log."""
+
+    offset: int
+    rows: int
+    bucket: int
+    zonemap: ZoneMap
+
+    @property
+    def end(self) -> int:
+        """Byte offset just past the chunk."""
+        return self.offset + chunk_size(self.rows)
+
+
+@dataclass(frozen=True, slots=True)
+class DeviceLogScan:
+    """Result of a header-only walk over one device log.
+
+    ``chunks`` lists the committed chunk prefix in log order;
+    ``valid_bytes`` is its length and equals ``total_bytes`` when the log
+    is intact.  ``torn`` carries the :class:`TornChunkError` describing
+    the tail when the log is damaged.
+    """
+
+    path: Path
+    total_bytes: int
+    chunks: tuple[ChunkInfo, ...]
+    torn: TornChunkError | None
+
+    @property
+    def valid_bytes(self) -> int:
+        """Length of the committed chunk prefix."""
+        return self.chunks[-1].end if self.chunks else 0
+
+    @property
+    def segments(self) -> int:
+        """Committed segments in the log."""
+        return sum(chunk.rows for chunk in self.chunks)
+
+    @property
+    def damaged(self) -> bool:
+        """Whether the log carries a torn tail needing repair."""
+        return self.torn is not None
+
+
+def _torn(source: str, offset: int, reason: str) -> TornChunkError:
+    return TornChunkError(f"{reason} in {source} at byte {offset}", offset=offset, reason=reason)
+
+
+def _read_chunk_info(
+    handle: BinaryIO, offset: int, total: int, source: str
+) -> ChunkInfo:
+    """Validate the chunk header at ``offset`` and read its epsilon column.
+
+    ``handle`` must be positioned at ``offset``; it is left wherever the
+    epsilon column read ends.  Raises :class:`TornChunkError` (offset =
+    the chunk's start, i.e. the end of the committed prefix) on a
+    truncated, garbled or implausible header or a truncated payload, and a
+    plain :class:`StoreError` on an unsupported chunk version — a version
+    from the future is valid data this build must not repair away.
+    """
+    header = handle.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise _torn(source, offset, "truncated chunk header")
+    (magic, version, n, bucket, t_min, t_max, x_min, x_max, y_min, y_max,
+     points, total_length) = _HEADER.unpack(header)
     if magic != _MAGIC:
-        raise TornChunkError(
-            f"bad chunk magic in {source} at byte {offset}",
-            offset=offset,
-            reason="bad chunk magic",
-        )
+        raise _torn(source, offset, "bad chunk magic")
     if version != CHUNK_VERSION:
         raise StoreError(
             f"unsupported chunk version {version} in {source}; "
             f"this build reads version {CHUNK_VERSION}"
         )
-    end = offset + _HEADER.size + _chunk_payload_size(n)
+    bounds = (t_min, t_max, x_min, x_max, y_min, y_max)
+    # Finite coordinates can still sum to an infinite length, never to NaN.
+    if not (
+        n >= 1
+        and points >= 0
+        and total_length >= 0.0
+        and all(math.isfinite(value) for value in bounds)
+        and t_min <= t_max
+        and x_min <= x_max
+        and y_min <= y_max
+    ):
+        raise _torn(source, offset, "corrupt chunk header")
+    end = offset + chunk_size(n)
     if end > total:
-        raise TornChunkError(
-            f"truncated chunk payload in {source} at byte {offset + _HEADER.size}",
-            offset=offset,
-            reason="truncated chunk payload",
-        )
-    return n, end
+        raise _torn(source, offset, "truncated chunk payload")
+    handle.seek(offset + _HEADER.size + n * _COLUMNS_BEFORE_EPSILON)
+    eps = np.frombuffer(handle.read(n * 8), dtype="<f8", count=n)
+    epsilons = tuple(sorted(set(eps.tolist())))
+    if not all(math.isfinite(value) and value > 0.0 for value in epsilons):
+        raise _torn(source, offset, "corrupt chunk payload")
+    zonemap = ZoneMap(
+        t_min=t_min, t_max=t_max, x_min=x_min, x_max=x_max, y_min=y_min,
+        y_max=y_max, segments=n, chunks=1, epsilons=epsilons, points=points,
+        total_length=total_length,
+    )
+    return ChunkInfo(offset=offset, rows=n, bucket=bucket, zonemap=zonemap)
 
 
-def decode_chunks(data: bytes, *, source: str = "<bytes>") -> Iterator[
-    list[tuple[SegmentRecord, float]]
-]:
-    """Decode a partition file into per-chunk ``(record, epsilon)`` rows.
-
-    Chunks come back in file order, rows in append order — the partition's
-    canonical scan order.
-
-    Raises
-    ------
-    TornChunkError
-        On a bad magic or a truncated chunk (e.g. a crash mid-append); the
-        error carries the byte offset of the committed prefix and
-        ``source`` names the file.
-    StoreError
-        On an unsupported chunk version.
-    """
+def _walk(handle: BinaryIO, total: int, source: str) -> tuple[list[ChunkInfo], TornChunkError | None]:
+    chunks: list[ChunkInfo] = []
     offset = 0
-    total = len(data)
     while offset < total:
-        n, end = _chunk_extent(data, offset, total, source)
-        rows, _ = _decode_one_chunk(data, offset + _HEADER.size, n)
-        offset = end
-        yield rows
-
-
-def salvage_chunks(
-    data: bytes, *, source: str = "<bytes>"
-) -> tuple[list[list[tuple[SegmentRecord, float]]], TornChunkError | None]:
-    """Decode the valid chunk prefix of a (possibly torn) partition file.
-
-    Returns the fully-committed chunks in file order plus the
-    :class:`TornChunkError` describing the torn tail (``None`` when the
-    file decodes cleanly).  Unlike :func:`decode_chunks` this never lets a
-    crash-torn tail poison the readable prefix; an unsupported chunk
-    *version* still raises, because future-format data must not be
-    silently dropped.
-    """
-    chunks: list[list[tuple[SegmentRecord, float]]] = []
-    try:
-        for rows in decode_chunks(data, source=source):
-            chunks.append(rows)
-    except TornChunkError as error:
-        return chunks, error
+        handle.seek(offset)
+        try:
+            info = _read_chunk_info(handle, offset, total, source)
+        except TornChunkError as error:
+            return chunks, error
+        chunks.append(info)
+        offset = info.end
     return chunks, None
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionScan:
-    """Result of a header-only integrity walk over one partition file.
+def scan_device_log(path: Path) -> DeviceLogScan:
+    """Walk a device log's chunk headers without decoding row payloads.
 
-    ``valid_bytes`` is the length of the committed chunk prefix; it equals
-    ``total_bytes`` when the file is intact.  ``chunks``/``segments``
-    count only the committed prefix.  ``torn`` carries the
-    :class:`TornChunkError` describing the tail when the file is damaged.
-    """
-
-    path: Path
-    total_bytes: int
-    valid_bytes: int
-    chunks: int
-    segments: int
-    torn: TornChunkError | None
-
-    @property
-    def damaged(self) -> bool:
-        """Whether the file carries a torn tail needing repair."""
-        return self.torn is not None
-
-
-def scan_partition_file(path: Path) -> PartitionScan:
-    """Walk a partition file's chunk headers without decoding payloads.
-
-    This is the recovery scan :class:`repro.store.Store` runs on open: it
-    validates every chunk header, sums committed chunk/segment counts and
-    locates the torn tail (if any) — all without materialising a single
-    row, so opening a large intact store stays cheap.
+    This is the walk :class:`repro.store.Store` runs on open: it
+    validates every chunk header, reads each chunk's zone map (the header
+    plus the epsilon column) and locates the torn tail, if any — all
+    without materialising a single row.  A missing log scans as empty.
 
     Raises
     ------
     StoreError
-        When the file cannot be read, or a committed-prefix chunk carries
+        When the log cannot be read, or a committed-prefix chunk carries
         an unsupported version (future data must not be repaired away).
     """
     source = str(path)
-    chunks = 0
-    segments = 0
-    torn: TornChunkError | None = None
     try:
         with open(path, "rb") as handle:
-            total = handle.seek(0, 2)
-            offset = 0
-            handle.seek(0)
-            while offset < total:
-                header = handle.read(_HEADER.size)
-                try:
-                    n, end = _chunk_extent(header, 0, total - offset, source)
-                except TornChunkError as error:
-                    torn = TornChunkError(
-                        f"{error.reason} in {source} at byte {offset + error.offset}",
-                        offset=offset + error.offset,
-                        reason=error.reason,
-                    )
-                    break
-                chunks += 1
-                segments += n
-                offset += end
-                handle.seek(offset)
+            total = handle.seek(0, io.SEEK_END)
+            chunks, torn = _walk(handle, total, source)
+    except FileNotFoundError:
+        return DeviceLogScan(path=path, total_bytes=0, chunks=(), torn=None)
     except OSError as error:
-        raise StoreError(
-            f"cannot read partition file {str(path)!r}: {error}"
-        ) from error
-    return PartitionScan(
-        path=path,
-        total_bytes=total,
-        valid_bytes=torn.offset if torn is not None else total,
-        chunks=chunks,
-        segments=segments,
-        torn=torn,
-    )
+        raise StoreError(f"cannot read device log {source!r}: {error}") from error
+    return DeviceLogScan(path=path, total_bytes=total, chunks=tuple(chunks), torn=torn)
 
 
-def _decode_one_chunk(
-    data: bytes, offset: int, n: int
-) -> tuple[list[tuple[SegmentRecord, float]], int]:
-    """Decode one chunk's column payload; returns the rows and the new offset."""
+def chunk_matches(data: bytes, rows: int, bucket: int) -> bool:
+    """Whether ``data`` is a whole current-version chunk of ``rows`` rows
+    in ``bucket`` — the check a reader makes before decoding an extent."""
+    if len(data) != chunk_size(rows):
+        return False
+    magic, version, n, chunk_bucket = _HEADER.unpack_from(data)[:4]
+    return magic == _MAGIC and version == CHUNK_VERSION and n == rows and chunk_bucket == bucket
+
+
+def decode_chunk(data: bytes, offset: int = 0) -> list[tuple[SegmentRecord, float]]:
+    """Decode the chunk at ``offset`` of ``data`` into ``(record, epsilon)``
+    rows, in append order.  The header must already be validated."""
+    n = _HEADER.unpack_from(data, offset)[2]
 
     def column(dtype: str, width: int, cursor: int) -> tuple[np.ndarray, int]:
         array = np.frombuffer(data, dtype=dtype, count=n, offset=cursor)
         return array, cursor + n * width
 
-    cursor = offset
+    cursor = offset + _HEADER.size
     start_x, cursor = column("<f8", 8, cursor)
     start_y, cursor = column("<f8", 8, cursor)
     start_t, cursor = column("<f8", 8, cursor)
@@ -683,4 +608,25 @@ def _decode_one_chunk(
             patched_end=bool(flags[i] & _FLAG_PATCHED_END),
         )
         rows.append((record, float(eps[i])))
-    return rows, cursor
+    return rows
+
+
+def decode_chunks(
+    data: bytes, *, source: str = "<bytes>"
+) -> Iterator[tuple[int, list[tuple[SegmentRecord, float]]]]:
+    """Decode a whole device log into ``(bucket, rows)`` per chunk, in log
+    order.
+
+    Raises
+    ------
+    TornChunkError
+        On a torn, garbled or truncated chunk; the error carries the byte
+        offset of the committed prefix.
+    StoreError
+        On an unsupported chunk version.
+    """
+    chunks, torn = _walk(io.BytesIO(data), len(data), source)
+    for info in chunks:
+        yield info.bucket, decode_chunk(data, info.offset)
+    if torn is not None:
+        raise torn

@@ -295,11 +295,11 @@ class WindowAggregate:
 class AggregateResult:
     """Sliding-window aggregates plus the pushdown/scan accounting.
 
-    ``partitions_pushdown`` counts partitions answered from their zone-map
-    sidecar alone — no data file read; ``partitions_scanned`` counts those
-    whose rows were actually decoded.  When every admitted partition is
-    served by pushdown, ``scan_fraction`` is exactly 0.0: the aggregate
-    cost metadata I/O only.
+    ``partitions_pushdown`` counts partitions answered from their zone map
+    alone — no extent read; ``partitions_scanned`` counts those whose rows
+    were actually decoded.  When every admitted partition is served by
+    pushdown, ``scan_fraction`` is exactly 0.0: the aggregate cost no
+    data I/O at all.
     """
 
     spec: QuerySpec
@@ -311,7 +311,7 @@ class AggregateResult:
     partitions_pushdown: int
     segments_scanned: int
     pushdown: bool = True
-    """Whether sidecar pushdown was enabled (``pushdown=False`` forces the
+    """Whether zone-map pushdown was enabled (``pushdown=False`` forces the
     row-scan path; the property tests pin both paths to equal answers)."""
 
     @property

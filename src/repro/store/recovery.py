@@ -1,23 +1,21 @@
 """Torn-tail recovery: scan, account, repair.
 
 A crash mid-``append`` leaves a *torn tail* — a final chunk whose header
-or column payload never fully reached the disk.  Because the zone map
-sidecar is always written first, the partition's pruning bound still
-*covers* the lost rows (over-approximation is sound), but a naive decode
-of the data file would fail and poison the whole partition.
+or column payload never fully reached the device log.  Zone maps live in
+the chunk headers, so the lost chunk takes its zone-map contribution with
+it: the rebuilt zone maps describe exactly the committed chunks.
 
-:class:`repro.store.Store` therefore opens with a recovery scan: every
-partition file gets a header-only integrity walk
-(:func:`repro.store.layout.scan_partition_file`) and damaged files are
-repaired by truncating to the committed chunk prefix.  Physical
-truncation requires the single-writer lock; when the store opens without
-it (a pure reader racing a live writer), the repair is *logical* — reads
-clamp to the committed prefix — and the physical truncation is deferred
-until the lock is acquired.  Truncation always follows a scan taken
-*under* the lock: a tail that looked torn before the acquire may be the
-then-live writer's in-flight chunk, committed in the meantime, so stale
-offsets are never trusted.  Either way, every query observes exactly the
-fully-committed chunks, never a torn byte.
+:class:`repro.store.Store` opens with one header walk per device log
+(:func:`repro.store.layout.scan_device_log`) and repairs damaged logs by
+truncating them to the committed chunk prefix.  Physical truncation
+requires the single-writer lock; when the store opens without it (a pure
+reader racing a live writer), the repair is *logical* — reads only ever
+touch the extents of committed chunks — and the physical truncation is
+deferred until the lock is acquired.  Truncation always follows a walk
+taken *under* the lock: a tail that looked torn before the acquire may be
+the then-live writer's in-flight chunk, committed in the meantime, so
+stale offsets are never trusted.  Either way, every query observes
+exactly the fully-committed chunks, never a torn byte.
 
 This module holds the repair step and the accounting types the store
 surfaces (:attr:`repro.store.Store.recovery`).
@@ -29,35 +27,34 @@ import os
 from dataclasses import dataclass
 
 from ..exceptions import StoreError
-from .layout import PartitionKey, PartitionScan
+from .layout import DeviceLogScan
 
-__all__ = ["PartitionRepair", "RecoveryReport", "repair_partition"]
+__all__ = ["LogRepair", "RecoveryReport", "repair_log"]
 
 
 @dataclass(frozen=True, slots=True)
-class PartitionRepair:
-    """Accounting for one torn partition handled by the recovery scan."""
+class LogRepair:
+    """Accounting for one torn device log handled by the recovery scan."""
 
-    key: PartitionKey
+    device_id: str
     reason: str
     """Why the tail was rejected (``truncated chunk header``/``payload``,
-    ``bad chunk magic``)."""
+    ``bad chunk magic``, ``corrupt chunk header``/``payload``)."""
     valid_bytes: int
-    """Length of the committed chunk prefix the partition was clamped to."""
+    """Length of the committed chunk prefix the log was clamped to."""
     dropped_bytes: int
     """Torn tail length discarded (logically or physically)."""
     segments_kept: int
     """Committed segments surviving in the prefix."""
     truncated: bool
-    """True when the file was physically truncated; False when the repair
-    is logical (reads clamp to ``valid_bytes`` until the writer lock
+    """True when the log was physically truncated; False when the repair
+    is logical (reads stay within committed extents until the writer lock
     allows truncation)."""
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable view (used by the CLI)."""
         return {
-            "device": self.key.device_id,
-            "bucket": self.key.bucket,
+            "device": self.device_id,
             "reason": self.reason,
             "valid_bytes": self.valid_bytes,
             "dropped_bytes": self.dropped_bytes,
@@ -70,12 +67,12 @@ class PartitionRepair:
 class RecoveryReport:
     """What the open-time recovery scan found and did."""
 
-    partitions_scanned: int
-    repairs: tuple[PartitionRepair, ...]
+    logs_scanned: int
+    repairs: tuple[LogRepair, ...]
 
     @property
     def damaged(self) -> int:
-        """Number of partitions that carried a torn tail."""
+        """Number of device logs that carried a torn tail."""
         return len(self.repairs)
 
     @property
@@ -86,22 +83,19 @@ class RecoveryReport:
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable view (used by the CLI)."""
         return {
-            "partitions_scanned": self.partitions_scanned,
+            "logs_scanned": self.logs_scanned,
             "damaged": self.damaged,
             "dropped_bytes": self.dropped_bytes,
             "repairs": [repair.as_dict() for repair in self.repairs],
         }
 
 
-def repair_partition(
-    key: PartitionKey, scan: PartitionScan, *, truncate: bool
-) -> PartitionRepair:
-    """Repair one damaged partition; returns the accounting record.
+def repair_log(device_id: str, scan: DeviceLogScan, *, truncate: bool) -> LogRepair:
+    """Repair one damaged device log; returns the accounting record.
 
-    With ``truncate=True`` the file is physically cut back to the
+    With ``truncate=True`` the log is physically cut back to the
     committed prefix (the caller must hold the store's writer lock);
-    otherwise the repair is logical and the caller must clamp reads to
-    ``scan.valid_bytes``.
+    otherwise the repair is logical.
 
     Raises
     ------
@@ -109,17 +103,17 @@ def repair_partition(
         When ``scan`` reports no damage, or the truncation fails.
     """
     if scan.torn is None:
-        raise StoreError(f"partition {key} is not damaged; nothing to repair")
+        raise StoreError(f"log of device {device_id!r} is not damaged; nothing to repair")
     if truncate:
         try:
             os.truncate(scan.path, scan.valid_bytes)
         except OSError as error:
             raise StoreError(
-                f"cannot truncate torn partition {key} to byte "
+                f"cannot truncate the torn log of device {device_id!r} to byte "
                 f"{scan.valid_bytes}: {error}"
             ) from error
-    return PartitionRepair(
-        key=key,
+    return LogRepair(
+        device_id=device_id,
         reason=scan.torn.reason,
         valid_bytes=scan.valid_bytes,
         dropped_bytes=scan.total_bytes - scan.valid_bytes,

@@ -3,8 +3,8 @@
 :class:`StoreSink` adapts one device's stream of finalised
 :class:`~repro.trajectory.piecewise.SegmentRecord` instances to
 :meth:`repro.store.Store.append`, buffering a bounded number of segments
-between appends so that hub-driven ingest amortises the per-append zone
-map rewrite over whole batches instead of paying it per segment.
+between appends so that hub-driven ingest amortises the per-append log
+write over whole batches instead of paying it per segment.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class StoreSink:
         """Append every buffered segment to the store.
 
         The buffer is only dropped once the append succeeds: a raising
-        :meth:`Store.append` rolls back any buckets it had already
-        written (the append is all-or-nothing) and leaves every segment
-        buffered here, so ``close()`` or a retrying caller re-sends the
+        :meth:`Store.append` truncates the device log back to its size
+        before the call (the append is all-or-nothing) and leaves every
+        segment buffered here, so ``close()`` or a retrying caller re-sends the
         whole batch without losing or duplicating segments.
         """
         if not self._buffer:

@@ -7,57 +7,65 @@ serves the typed query surface of :mod:`repro.store.query` over them.
 
 Write path
 ----------
-``append`` groups a batch by time bucket and, per partition, first
-rewrites the zone map sidecar to *cover* the new batch (atomic temp file +
-rename), then appends one columnar chunk to the partition's ``.seg`` file.
-Because the covering bound lands on disk before the data, a crash between
-the two writes can only leave zone maps that over-approximate — a query
-may read a partition needlessly but can never skip one that holds matches,
-so data skipping stays sound across crashes.  A *failing* append is
-additionally all-or-nothing across buckets: chunks the same call already
-wrote are rolled back, so a retry (``StoreSink.flush`` keeps its buffer)
-re-sends the batch without duplicating segments.
+Every device has one append-only log (:mod:`repro.store.layout`).
+``append`` groups a batch by time bucket, encodes one self-describing
+chunk per bucket — its header carries the chunk's zone map — and adds
+them all to the device log with a single ``write()``.  A failing append
+truncates the log back to its size before the call, so it is
+all-or-nothing across buckets and a retry (``StoreSink.flush`` keeps its
+buffer) re-sends the batch without duplicating segments.
 
-Crash recovery
---------------
-A crash *during* the data append leaves a torn tail chunk.  Opening a
-store runs a recovery scan (:mod:`repro.store.recovery`): every partition
-file gets a header-only integrity walk, torn tails are truncated back to
-the committed chunk prefix (physically under the writer lock, logically —
-reads clamp — without it), and the per-partition accounting is surfaced
-as :attr:`Store.recovery`.  No partition is ever rendered unreadable by a
-crash; at worst the half-written batch is lost, which is exactly the
-pre-crash commit point.
+Open and crash recovery
+-----------------------
+Opening walks the chunk headers of every device log once.  The walk
+folds each partition's zone map from its committed chunks, records the
+partition's ``(offset, rows)`` extents in the log and finds any torn tail
+a crash mid-append left behind (:mod:`repro.store.recovery`).  Torn
+tails are truncated back to the committed chunk prefix — physically
+under the writer lock, logically (reads only touch committed extents)
+without it — and the accounting is surfaced as :attr:`Store.recovery`.
+Because zone maps are rebuilt from committed chunks only, they are always
+exact.  A crash keeps every chunk that reached the disk whole and loses
+at most the rest of the batch that was in flight.
 
 Read path
 ---------
 ``query`` walks the partitions in canonical order (device id, then
 bucket), consults each zone map against the spec's window/bbox/epsilon
-predicates, and reads only the partitions that may contain matches; the
-returned :class:`~repro.store.query.QueryResult` reports exactly how many
-partitions the zone maps let it skip.  ``full_scan=True`` bypasses the
-pruning (every partition is read) and — by construction, same scan order,
-same row predicate — returns byte-identical results; the property tests
-lock that equivalence in.
+predicates, and reads only the extents of partitions that may contain
+matches; the returned :class:`~repro.store.query.QueryResult` reports
+exactly how many partitions the zone maps let it skip.
+``full_scan=True`` bypasses the pruning (every partition is read) and —
+by construction, same scan order, same row predicate — returns
+byte-identical results; the property tests lock that equivalence in.
 
-``window_aggregates`` additionally *pushes down* to the sidecars: a
-partition whose zone map is exact (counts match the committed chunks) and
-whose rows all provably match the spec contributes its precomputed
-segment/point/length aggregates without its data file ever being read,
-whenever each intersecting window fully covers the partition's time
-range.  Fully-covered aggregates therefore run at ``scan_fraction`` 0.
+Before decoding an extent a handle checks the chunk header found there
+(magic, version, row count, bucket).  When another handle compacted or
+truncated the log since this one walked it, the header no longer matches:
+the handle re-walks that device log once and raises
+:class:`~repro.exceptions.StoreError` if the extent is still stale, so it
+never decodes rows from a stale offset.
+
+``window_aggregates`` additionally *pushes down* to the zone maps: a
+partition whose rows all provably match the spec contributes its
+precomputed segment/point/length aggregates without its extents being
+read, whenever each intersecting window fully covers the partition's
+time range.  Fully-covered aggregates therefore run at ``scan_fraction``
+0.
 
 Concurrency: one writer at a time per store directory, enforced by an
 ``O_EXCL`` lock file (:mod:`repro.store.locking`) acquired eagerly with
 ``open_store(..., writer=True)`` or lazily on the first append.  In-process
 appends are additionally serialised by a mutex so hub shard threads can
-share one store.  Readers see every fully appended chunk; the store
-object caches zone maps, so a process that wants to observe another
+share one store.  The store holds no open file handles between calls.
+Readers see every fully appended chunk they walked; the store object
+caches zone maps and extents, so a process that wants to observe another
 writer's appends should re-open the store.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -72,22 +80,19 @@ from .layout import (
     DEVICES_DIR,
     LOCK_NAME,
     MANIFEST_NAME,
+    DeviceLogScan,
     PartitionKey,
-    PartitionScan,
+    SegmentColumns,
     ZoneMap,
     bucket_of,
-    bucket_of_data_name,
-    decode_device_dir,
-    encode_chunk,
-    encode_device_dir,
+    chunk_matches,
+    chunk_size,
+    decode_chunk,
+    device_log_name,
+    device_of_log_name,
     load_manifest,
-    partition_data_name,
-    partition_zonemap_name,
-    read_zonemap,
-    salvage_chunks,
-    scan_partition_file,
+    scan_device_log,
     write_manifest,
-    write_zonemap,
 )
 from .locking import StoreLock
 from .query import (
@@ -97,7 +102,7 @@ from .query import (
     StoredSegment,
     WindowAggregate,
 )
-from .recovery import PartitionRepair, RecoveryReport, repair_partition
+from .recovery import LogRepair, RecoveryReport, repair_log
 from .sink import StoreSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -185,18 +190,13 @@ def _sweep_stale_tmp(root: Path) -> None:
     """Remove temp files left by crashed atomic writes.
 
     Only the store's own temp names are touched — the manifest temp and
-    lock-reclaim claim files at the root, plus ``*.tmp`` inside device
-    directories (zone map and compaction temps) — so opening never
-    deletes foreign files from a directory that turns out not to be a
-    store.
+    lock-reclaim claim files at the root, plus ``*.tmp`` compaction temps
+    under ``devices/`` — so opening never deletes foreign files from a
+    directory that turns out not to be a store.
     """
     candidates = [root / (MANIFEST_NAME + ".tmp")]
     candidates.extend(sorted(root.glob(LOCK_NAME + ".reclaim.*")))
-    devices_root = root / DEVICES_DIR
-    if devices_root.is_dir():
-        for device_dir in sorted(devices_root.iterdir()):
-            if device_dir.is_dir():
-                candidates.extend(sorted(device_dir.glob("*.tmp")))
+    candidates.extend(sorted((root / DEVICES_DIR).glob("*.tmp")))
     for candidate in candidates:
         if candidate.is_file():
             candidate.unlink(missing_ok=True)
@@ -220,24 +220,29 @@ def _is_reinitialisable(root: Path) -> bool:
     return True
 
 
-class _PartitionState:
-    """Committed-on-disk truth of one partition (vs the covering zone map).
+class _DeviceLog:
+    """What this handle knows of one device log.
 
-    ``chunks``/``segments``/``valid_bytes`` describe the fully-committed
-    chunk prefix; ``pending_repair`` marks a torn tail that could not be
-    physically truncated at open (no writer lock) — reads clamp to
-    ``valid_bytes`` until the lock is acquired and the truncation flushed.
+    ``size`` is the length of the committed chunk prefix this handle
+    walked (plus its own appends); ``buckets`` the partitions it holds.
+    ``pending_repair`` marks a torn tail that could not be physically
+    truncated at open (no writer lock) — it is cut once the lock is
+    acquired.
     """
 
-    __slots__ = ("chunks", "segments", "valid_bytes", "pending_repair")
+    __slots__ = ("size", "buckets", "pending_repair")
 
-    def __init__(
-        self, chunks: int, segments: int, valid_bytes: int, pending_repair: bool
-    ) -> None:
-        self.chunks = chunks
-        self.segments = segments
-        self.valid_bytes = valid_bytes
+    def __init__(self, size: int, pending_repair: bool) -> None:
+        self.size = size
+        self.buckets: set[int] = set()
         self.pending_repair = pending_repair
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte of ``data`` is down."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 class Store:
@@ -252,7 +257,8 @@ class Store:
         self._root = root
         self._time_bucket = time_bucket
         self._zonemaps: dict[PartitionKey, ZoneMap] = {}
-        self._states: dict[PartitionKey, _PartitionState] = {}
+        self._extents: dict[PartitionKey, list[tuple[int, int]]] = {}
+        self._logs: dict[str, _DeviceLog] = {}
         self._mutex = threading.Lock()
         self._lock = StoreLock(root)
         if writer:
@@ -261,8 +267,7 @@ class Store:
         # behind; release is idempotent, so an explicit close() comes first
         # harmlessly.
         self._finalizer = weakref.finalize(self, StoreLock.release, self._lock)
-        self._load_zonemaps()
-        self._recovery = self._recover()
+        self._recovery = self._open_logs()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -284,13 +289,8 @@ class Store:
 
     @property
     def n_segments(self) -> int:
-        """Total committed segments on disk.
-
-        Counted from the recovery scan's committed chunk prefixes, not the
-        zone maps — after a crash the sidecars may over-approximate (that
-        is what keeps pruning sound), but this number never does.
-        """
-        return sum(state.segments for state in self._states.values())
+        """Total committed segments on disk (from the exact zone maps)."""
+        return sum(zonemap.segments for zonemap in self._zonemaps.values())
 
     @property
     def recovery(self) -> RecoveryReport:
@@ -312,7 +312,7 @@ class Store:
         Level 0 is the finest stored bound.  A pyramid ingest
         (:meth:`pyramid_sink_factory`) stores one level per rung, so this
         mirrors the hub's ``epsilons=[...]`` ladder; single-epsilon ingest
-        yields a one-level ladder.  Computed from the zone-map sidecars.
+        yields a one-level ladder.  Computed from the zone maps.
         """
         return sorted(
             {eps for zonemap in self._zonemaps.values() for eps in zonemap.epsilons}
@@ -361,30 +361,29 @@ class Store:
         """Append finalised segments for one device; returns the count.
 
         The batch is grouped by time bucket (``floor(start.t /
-        time_bucket)``); each group becomes one columnar chunk in its
-        partition, with the partition's zone map extended to cover it
-        first.  Within a partition, append order is preserved — it is the
-        canonical scan order queries return.
+        time_bucket)``); each group becomes one columnar chunk, and every
+        chunk lands in the device log with a single ``write()``.  Within a
+        partition, append order is preserved — it is the canonical scan
+        order queries return.
 
         The first (non-empty) append acquires the store's single-writer
         lock and flushes any torn-tail repairs the open-time recovery had
         to defer; appends are serialised in-process, so hub shard threads
         may share one store.
 
-        A failing append is all-or-nothing across buckets: the chunks
-        already written by the same call are rolled back (the widened
-        zone maps stay behind as sound over-approximation), so a retrying
-        caller — :meth:`StoreSink.flush` keeps its buffer on failure —
-        can re-send the whole batch without duplicating segments.
+        A failing append is all-or-nothing across buckets: the log is
+        truncated back to its size before the call, so a retrying caller
+        — :meth:`StoreSink.flush` keeps its buffer on failure — can
+        re-send the whole batch without duplicating segments.
 
         Raises
         ------
         InvalidParameterError
             On a non-positive/non-finite ``epsilon``.
         StoreError
-            When a segment carries non-finite coordinates (the zone map
-            must stay strict-JSON serialisable), when another live writer
-            holds the lock, or on an I/O failure.
+            When a segment carries non-finite coordinates, when another
+            live writer holds the lock, or on an I/O failure creating,
+            writing or truncating the device log.
         """
         epsilon = float(epsilon)
         if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -396,86 +395,83 @@ class Store:
         )
         if not batch:
             return 0
-        for record in batch:
-            if not (record.start.is_finite() and record.end.is_finite()):
-                raise StoreError(
-                    f"segment [{record.first_index}, {record.last_index}] of "
-                    f"device {device_id!r} has non-finite coordinates"
-                )
-        grouped: dict[int, list[SegmentRecord]] = {}
-        for record in batch:
-            grouped.setdefault(
-                bucket_of(record.start.t, self._time_bucket), []
-            ).append(record)
+        columns = SegmentColumns(batch, [epsilon] * len(batch))
+        bad = columns.first_non_finite()
+        if bad is not None:
+            record = batch[bad]
+            raise StoreError(
+                f"segment [{record.first_index}, {record.last_index}] of "
+                f"device {device_id!r} has non-finite coordinates"
+            )
+        buckets = [bucket_of(record.start.t, self._time_bucket) for record in batch]
+        order = sorted(range(len(batch)), key=buckets.__getitem__)
+        if order != list(range(len(batch))):
+            # Chunks hold one bucket each; a time-ordered stream never
+            # gets here.
+            batch = [batch[index] for index in order]
+            buckets = [buckets[index] for index in order]
+            columns = SegmentColumns(batch, [epsilon] * len(batch))
+        chunks: list[tuple[int, bytes, ZoneMap]] = []
+        start = 0
+        for bucket, group in itertools.groupby(buckets):
+            stop = start + sum(1 for _ in group)
+            chunks.append((bucket, *columns.chunk(start, stop, bucket)))
+            start = stop
         with self._mutex:
             self._ensure_writer()
-            device_dir = self._root / DEVICES_DIR / encode_device_dir(device_id)
-            device_dir.mkdir(parents=True, exist_ok=True)
-            # All-or-nothing across buckets: every touched file's pre-append
-            # length is recorded so a failure can cut the already-written
-            # chunks back, and the in-memory caches are only updated once
-            # every bucket's bytes are durably appended.
-            written: list[tuple[Path, int]] = []
-            applied: list[tuple[PartitionKey, ZoneMap, int, int]] = []
-            try:
-                for bucket in sorted(grouped):
-                    chunk = grouped[bucket]
-                    key = PartitionKey(device_id, bucket)
-                    addition = ZoneMap.of_batch(chunk, epsilon)
-                    existing = self._zonemaps.get(key)
-                    merged = addition if existing is None else existing.merge(addition)
-                    encoded = encode_chunk(chunk, epsilon)
-                    # Covering-first write order: the widened zone map lands
-                    # before the data it describes, so a crash in between can
-                    # only leave an over-approximating bound — pruning stays
-                    # sound.
-                    write_zonemap(device_dir / partition_zonemap_name(bucket), merged)
-                    path = device_dir / partition_data_name(bucket)
-                    try:
-                        pre_size = path.stat().st_size
-                    except FileNotFoundError:
-                        pre_size = 0
-                    written.append((path, pre_size))
-                    try:
-                        with open(path, "ab") as handle:
-                            handle.write(encoded)
-                    except OSError as error:
-                        raise StoreError(
-                            f"cannot append to partition {key}: {error}"
-                        ) from error
-                    applied.append((key, merged, len(chunk), len(encoded)))
-            except BaseException:
-                self._rollback_append(written)
-                raise
-            for key, merged, chunk_rows, chunk_bytes in applied:
-                self._zonemaps[key] = merged
-                state = self._states.get(key)
-                if state is None:
-                    state = self._states[key] = _PartitionState(0, 0, 0, False)
-                state.chunks += 1
-                state.segments += chunk_rows
-                state.valid_bytes += chunk_bytes
+            offset = self._write_log(device_id, b"".join(data for _, data, _ in chunks))
+            log = self._logs[device_id]
+            for bucket, data, zonemap in chunks:
+                self._add_chunk(device_id, log, bucket, offset, zonemap)
+                offset += len(data)
+            log.size = offset
         return len(batch)
 
-    @staticmethod
-    def _rollback_append(written: list[tuple[Path, int]]) -> None:
-        """Best-effort undo of a failed multi-bucket append.
+    def _write_log(self, device_id: str, payload: bytes) -> int:
+        """Append ``payload`` to the device log; returns its start offset.
 
-        Every touched partition file is cut back to its recorded
-        pre-append length (a file the call created is removed outright),
-        including the partially-written one the failure interrupted, so a
-        retry re-sends the whole batch without duplicating the buckets
-        that had already landed.  The widened zone maps stay behind —
-        over-approximation is sound.
+        The caller holds the mutex and the writer lock.  When the log's
+        size on disk is not the committed size this handle knows — another
+        handle appended to, compacted or tore it since — the log is
+        re-walked first, so new extents land at their true offsets.  A
+        failed write truncates the log back to that start offset.
         """
-        for path, pre_size in written:
+        path = self._log_path(device_id)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        except OSError as error:
+            raise StoreError(
+                f"cannot open the log of device {device_id!r}: {error}"
+            ) from error
+        try:
+            start = os.fstat(fd).st_size
+            log = self._logs.get(device_id)
+            if log is None and start == 0:
+                log = self._logs[device_id] = _DeviceLog(0, False)
+            elif log is None or log.pending_repair or start != log.size:
+                # The walk runs under the writer lock and cuts any torn
+                # tail, so afterwards the log ends at its committed size.
+                self._reload_log(device_id)
+                start = os.fstat(fd).st_size
             try:
-                if pre_size == 0:
-                    path.unlink(missing_ok=True)
-                else:
-                    os.truncate(path, pre_size)
-            except OSError:  # pragma: no cover - rollback is best effort
-                pass
+                _write_all(fd, payload)
+            except BaseException as error:
+                try:
+                    os.ftruncate(fd, start)
+                except OSError as cut_error:
+                    raise StoreError(
+                        f"cannot append to the log of device {device_id!r} "
+                        f"({error}) nor truncate it back to byte {start}: "
+                        f"{cut_error}"
+                    ) from error
+                raise
+        except OSError as error:
+            raise StoreError(
+                f"cannot append to the log of device {device_id!r}: {error}"
+            ) from error
+        finally:
+            os.close(fd)
+        return start
 
     def compact(
         self, device: str | None = None, *, min_chunks: int = 2
@@ -483,8 +479,7 @@ class Store:
         """Rewrite multi-chunk partitions into single-chunk form.
 
         See :func:`repro.store.compact.compact_partitions` — query results
-        are byte-identical before/after, and compaction doubles as the
-        physical repair path for salvaged partitions.
+        are byte-identical before/after.
         """
         from .compact import compact_partitions
 
@@ -526,11 +521,12 @@ class Store:
         matched: list[StoredSegment] = []
         partitions_scanned = 0
         segments_scanned = 0
+        # A stale extent re-walks a log mid-query; the snapshot keeps this
+        # query's view of the partitions fixed.
+        zonemaps = self._zonemaps.copy()
         if matchable:
-            for key in sorted(self._zonemaps):
-                if not full_scan and not self._may_match(
-                    spec, key, self._zonemaps[key]
-                ):
+            for key in sorted(zonemaps):
+                if not full_scan and not self._may_match(spec, key, zonemaps[key]):
                     continue
                 if full_scan and spec.device is not None and key.device_id != spec.device:
                     # Even a full scan stays within the device predicate's
@@ -576,12 +572,12 @@ class Store:
         contributes to every window its **closed** time span intersects
         (both edges inclusive, matching :meth:`QuerySpec.matches`).
 
-        With ``pushdown=True`` (the default), partitions whose zone map is
-        exact and whose rows all provably satisfy the spec are answered
-        from the sidecar's precomputed aggregates — no data file read —
-        whenever every intersecting window fully covers the partition's
-        time range.  ``pushdown=False`` forces the row-scan path; both
-        paths return equal aggregates (``total_length`` up to float
+        With ``pushdown=True`` (the default), partitions whose rows all
+        provably satisfy the spec are answered from the zone map's
+        precomputed aggregates — no extent read — whenever every
+        intersecting window fully covers the partition's time range.
+        ``pushdown=False`` forces the row-scan path; both paths return
+        equal aggregates (``total_length`` up to float
         summation order), which the property tests pin.
         """
         width = float(width)
@@ -599,12 +595,13 @@ class Store:
 
         scan_keys: list[PartitionKey] = []
         push_keys: list[PartitionKey] = []
+        zonemaps = self._zonemaps.copy()
         if matchable:
-            for key in sorted(self._zonemaps):
-                zonemap = self._zonemaps[key]
+            for key in sorted(zonemaps):
+                zonemap = zonemaps[key]
                 if not self._may_match(spec, key, zonemap):
                     continue
-                if pushdown and self._pushdown_eligible(spec, key, zonemap):
+                if pushdown and self._pushdown_eligible(spec, zonemap):
                     push_keys.append(key)
                 else:
                     scan_keys.append(key)
@@ -654,10 +651,7 @@ class Store:
                 )
                 for s in matched
             ]
-            bounds.extend(
-                (self._zonemaps[key].t_min, self._zonemaps[key].t_max)
-                for key in push_keys
-            )
+            bounds.extend((zonemaps[key].t_min, zonemaps[key].t_max) for key in push_keys)
             if not bounds:
                 return result(())
             t_low = min(low for low, _ in bounds)
@@ -674,11 +668,11 @@ class Store:
 
         # Per-partition pushdown needs every intersecting window to fully
         # cover the partition's time range (then *all* rows contribute and
-        # the sidecar aggregates are exact).  Demote the rest to a scan —
+        # the zone-map aggregates are exact).  Demote the rest to a scan —
         # their rows still all match, so the grid stays unchanged.
         final_push: list[PartitionKey] = []
         for key in push_keys:
-            zonemap = self._zonemaps[key]
+            zonemap = zonemaps[key]
             covered = all(
                 w_start <= zonemap.t_min and zonemap.t_max <= w_end
                 for w_start, w_end in grid
@@ -705,11 +699,11 @@ class Store:
                     total_length += stored.record.length
                     device_ids.add(stored.device_id)
             for key in push_keys:
-                zonemap = self._zonemaps[key]
+                zonemap = zonemaps[key]
                 if zonemap.t_min <= w_end and zonemap.t_max >= w_start:
                     segments += zonemap.segments
-                    points += zonemap.points or 0
-                    total_length += zonemap.total_length or 0.0
+                    points += zonemap.points
+                    total_length += zonemap.total_length
                     device_ids.add(key.device_id)
             ordered = tuple(sorted(device_ids))
             aggregates.append(
@@ -869,28 +863,16 @@ class Store:
             return False
         return True
 
-    def _pushdown_eligible(
-        self, spec: QuerySpec, key: PartitionKey, zonemap: ZoneMap
-    ) -> bool:
+    @staticmethod
+    def _pushdown_eligible(spec: QuerySpec, zonemap: ZoneMap) -> bool:
         """Whether every row of the partition provably satisfies ``spec``.
 
-        Requires an *exact* zone map — counts equal to the committed
-        chunks (a crash-widened sidecar over-approximates and must scan) —
-        with the aggregate fields present, and spec predicates that cover
-        the zone map's bounds outright: the window contains the time
+        Zone maps are exact, so it suffices that the spec predicates
+        cover the zone map's bounds outright: the window contains the time
         range, the bbox contains the bounding box, the epsilon set is
         exactly the queried one.  Device equality is already guaranteed by
         :meth:`_may_match` admission.
         """
-        state = self._states.get(key)
-        if state is None or state.pending_repair:
-            return False
-        if zonemap.points is None or zonemap.total_length is None:
-            return False
-        if zonemap.segments != state.segments or zonemap.chunks != state.chunks:
-            return False
-        if zonemap.segments == 0:
-            return False
         if spec.window is not None and not (
             spec.window[0] <= zonemap.t_min and zonemap.t_max <= spec.window[1]
         ):
@@ -906,70 +888,88 @@ class Store:
             return False
         return True
 
-    def _partition_path(self, key: PartitionKey) -> Path:
-        return (
-            self._root
-            / DEVICES_DIR
-            / encode_device_dir(key.device_id)
-            / partition_data_name(key.bucket)
-        )
+    def _log_path(self, device_id: str) -> Path:
+        return self._root / DEVICES_DIR / device_log_name(device_id)
 
-    def _zonemap_path(self, key: PartitionKey) -> Path:
-        return (
-            self._root
-            / DEVICES_DIR
-            / encode_device_dir(key.device_id)
-            / partition_zonemap_name(key.bucket)
-        )
+    def _add_chunk(
+        self,
+        device_id: str,
+        log: _DeviceLog,
+        bucket: int,
+        offset: int,
+        zonemap: ZoneMap,
+    ) -> None:
+        """Fold one committed chunk into its partition's zone map and extents."""
+        key = PartitionKey(device_id, bucket)
+        existing = self._zonemaps.get(key)
+        self._zonemaps[key] = zonemap if existing is None else existing.merge(zonemap)
+        self._extents.setdefault(key, []).append((offset, zonemap.segments))
+        log.buckets.add(bucket)
+
+    def _install(self, device_id: str, scan: DeviceLogScan, *, pending_repair: bool) -> None:
+        """Replace everything known of one device log with a fresh walk."""
+        old = self._logs.get(device_id)
+        if old is not None:
+            for bucket in old.buckets:
+                key = PartitionKey(device_id, bucket)
+                del self._zonemaps[key]
+                del self._extents[key]
+        log = self._logs[device_id] = _DeviceLog(scan.valid_bytes, pending_repair)
+        for chunk in scan.chunks:
+            self._add_chunk(device_id, log, chunk.bucket, chunk.offset, chunk.zonemap)
+
+    def _reload_log(self, device_id: str) -> None:
+        """Re-walk one device log (caller holds the mutex).
+
+        A torn tail is truncated when this handle holds the writer lock —
+        the walk ran under it, so its offset is trustworthy — and left for
+        a deferred repair otherwise.
+        """
+        scan = scan_device_log(self._log_path(device_id))
+        if scan.damaged and self._lock.held:
+            repair_log(device_id, scan, truncate=True)
+        self._install(device_id, scan, pending_repair=scan.damaged and not self._lock.held)
 
     def _ensure_writer(self) -> None:
         """Acquire the writer lock (caller holds the mutex) and flush any
         torn-tail truncations the open-time recovery had to defer.
 
-        Each deferred partition is re-scanned under the lock before it is
-        cut: the writer that blocked the open-time repair may since have
+        Each deferred log is re-walked under the lock before it is cut:
+        the writer that blocked the open-time repair may since have
         committed the tail this handle saw torn — its then-in-flight
         chunk — and appended more, so truncating at the remembered offset
-        would destroy durably committed data.  Only a file that is
-        *still* torn is truncated, at the fresh scan's offset, and the
-        state and zone-map caches are refreshed from disk either way.
+        would destroy durably committed data.  Only a log that is *still*
+        torn is truncated, at the fresh walk's offset, and the zone maps
+        and extents are refreshed from disk either way.
         """
         if self._lock.held:
             return
         self._lock.acquire()
-        for key, state in self._states.items():
-            if not state.pending_repair:
-                continue
-            path = self._partition_path(key)
-            if not path.exists():
-                state.chunks = state.segments = state.valid_bytes = 0
-            else:
-                scan = scan_partition_file(path)
-                if scan.damaged:
-                    repair_partition(key, scan, truncate=True)
-                state.chunks = scan.chunks
-                state.segments = scan.segments
-                state.valid_bytes = scan.valid_bytes
-            state.pending_repair = False
-            zonemap_file = self._zonemap_path(key)
-            if zonemap_file.exists():
-                self._zonemaps[key] = read_zonemap(zonemap_file)
+        for device_id in sorted(self._logs):
+            if self._logs[device_id].pending_repair:
+                self._reload_log(device_id)
 
-    def _recover(self) -> RecoveryReport:
-        """Open-time recovery scan: find torn tails, repair, account.
+    def _open_logs(self) -> RecoveryReport:
+        """Open-time header walk of every device log: zone maps, extents,
+        torn tails, repair and accounting.
 
         Physical truncation needs the single-writer lock; when this handle
         does not hold one, a transient acquisition is attempted — if a
         live writer genuinely holds the lock, the repair stays logical
-        (reads clamp to the committed prefix) and the truncation is
+        (reads only touch committed extents) and the truncation is
         deferred to :meth:`_ensure_writer`.
         """
-        scans: dict[PartitionKey, PartitionScan] = {}
-        for key in sorted(self._zonemaps):
-            path = self._partition_path(key)
-            if path.exists():
-                scans[key] = scan_partition_file(path)
-        damaged = [key for key, scan in scans.items() if scan.damaged]
+        devices_root = self._root / DEVICES_DIR
+        if not devices_root.is_dir():
+            raise StoreError(
+                f"store {str(self._root)!r} is missing its {DEVICES_DIR}/ directory"
+            )
+        scans: dict[str, DeviceLogScan] = {}
+        for entry in sorted(devices_root.iterdir()):
+            device_id = device_of_log_name(entry.name)
+            if device_id is not None and entry.is_file():
+                scans[device_id] = scan_device_log(entry)
+        damaged = [device_id for device_id, scan in scans.items() if scan.damaged]
         transient = False
         if damaged and not self._lock.held:
             try:
@@ -977,108 +977,70 @@ class Store:
                 transient = True
             except StoreError:
                 pass
-        repairs: list[PartitionRepair] = []
+        truncate = self._lock.held
+        repairs: list[LogRepair] = []
         try:
-            if damaged and self._lock.held:
-                # The integrity scan ran before the lock was acquired; in
-                # between, a then-live writer may have committed the "torn"
-                # tail (its in-flight chunk) and appended more.  Re-scan
-                # under the lock and truncate only what is still torn, at
-                # the fresh scan's offset.
-                for key in damaged:
-                    path = self._partition_path(key)
-                    scans[key] = (
-                        scan_partition_file(path)
-                        if path.exists()
-                        else PartitionScan(path, 0, 0, 0, 0, None)
-                    )
-                damaged = [key for key in damaged if scans[key].damaged]
-            for key in damaged:
-                repairs.append(
-                    repair_partition(key, scans[key], truncate=self._lock.held)
-                )
+            if damaged and truncate:
+                # The walk ran before the lock was acquired; in between, a
+                # then-live writer may have committed the "torn" tail (its
+                # in-flight chunk) and appended more.  Re-walk under the
+                # lock and truncate only what is still torn, at the fresh
+                # walk's offset.
+                for device_id in damaged:
+                    scans[device_id] = scan_device_log(scans[device_id].path)
+                damaged = [device_id for device_id in damaged if scans[device_id].damaged]
+            for device_id in damaged:
+                repairs.append(repair_log(device_id, scans[device_id], truncate=truncate))
         finally:
             if transient:
                 self._lock.release()
-        for key in sorted(self._zonemaps):
-            scan = scans.get(key)
-            if scan is None:
-                self._states[key] = _PartitionState(0, 0, 0, False)
-            else:
-                self._states[key] = _PartitionState(
-                    scan.chunks,
-                    scan.segments,
-                    scan.valid_bytes,
-                    scan.damaged and not any(
-                        repair.key == key and repair.truncated for repair in repairs
-                    ),
-                )
-        return RecoveryReport(
-            partitions_scanned=len(scans), repairs=tuple(repairs)
-        )
+        for device_id, scan in scans.items():
+            self._install(device_id, scan, pending_repair=scan.damaged and not truncate)
+        return RecoveryReport(logs_scanned=len(scans), repairs=tuple(repairs))
 
     def _read_partition(self, key: PartitionKey) -> list[tuple[SegmentRecord, float]]:
-        path = self._partition_path(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            # Crash window: the covering zone map landed but the data
-            # append never happened.  The partition is legitimately empty.
-            return []
-        except OSError as error:
-            raise StoreError(f"cannot read partition {key}: {error}") from error
-        state = self._states.get(key)
-        if state is not None and state.pending_repair:
-            # Torn tail that could not be physically truncated at open
-            # (another writer holds the lock): clamp to the committed
-            # prefix so the read observes exactly the recovered rows.
-            data = data[: state.valid_bytes]
-        rows: list[tuple[SegmentRecord, float]] = []
-        # Salvage rather than decode: the file is re-read on every query,
-        # so even after a clean open a concurrent writer's half-flushed
-        # chunk can become visible mid-read.  Clamping to the committed
-        # chunk prefix keeps the documented contract — readers see every
-        # fully appended chunk, never a torn byte — instead of turning
-        # the race into a query-failing StoreError.
-        chunks, _ = salvage_chunks(data, source=str(path))
-        for chunk in chunks:
-            rows.extend(chunk)
+        """Decode a partition's rows from its extents, in append order.
+
+        A chunk header that no longer matches the extent (another handle
+        compacted or truncated the log) triggers one re-walk of the
+        device log; a second mismatch raises instead of decoding rows
+        from a stale offset.
+        """
+        rows = self._read_extents(key)
+        if rows is None:
+            with self._mutex:
+                self._reload_log(key.device_id)
+            rows = self._read_extents(key)
+            if rows is None:
+                raise StoreError(
+                    f"the log of device {key.device_id!r} no longer holds "
+                    f"partition {key}'s chunks where a fresh walk put them"
+                )
         return rows
 
-    def _load_zonemaps(self) -> None:
-        devices_root = self._root / DEVICES_DIR
-        if not devices_root.is_dir():
-            raise StoreError(
-                f"store {str(self._root)!r} is missing its {DEVICES_DIR}/ directory"
-            )
-        for device_dir in sorted(devices_root.iterdir()):
-            if not device_dir.is_dir():
-                continue
-            device_id = decode_device_dir(device_dir.name)
-            sidecars: set[int] = set()
-            data_files: set[int] = set()
-            for entry in sorted(device_dir.iterdir()):
-                name = entry.name
-                if name.endswith(".zm.json") and name.startswith("b"):
-                    try:
-                        sidecars.add(int(name[1 : -len(".zm.json")]))
-                    except ValueError:
-                        continue
-                else:
-                    bucket = bucket_of_data_name(name)
-                    if bucket is not None:
-                        data_files.add(bucket)
-            orphans = sorted(data_files - sidecars)
-            if orphans:
-                raise StoreError(
-                    f"partition data without a zone map sidecar for device "
-                    f"{device_id!r}, bucket(s) {orphans} — the store cannot "
-                    f"guarantee sound pruning over unindexed data"
-                )
-            for bucket in sorted(sidecars):
-                self._zonemaps[PartitionKey(device_id, bucket)] = read_zonemap(
-                    device_dir / partition_zonemap_name(bucket)
-                )
+    def _read_extents(self, key: PartitionKey) -> list[tuple[SegmentRecord, float]] | None:
+        """The partition's rows, or None when an extent is stale."""
+        extents = list(self._extents.get(key, ()))
+        if not extents:
+            return []
+        try:
+            fd = os.open(self._log_path(key.device_id), os.O_RDONLY)
+        except FileNotFoundError:
+            return None
+        except OSError as error:
+            raise StoreError(f"cannot read partition {key}: {error}") from error
+        rows: list[tuple[SegmentRecord, float]] = []
+        try:
+            for offset, count in extents:
+                data = os.pread(fd, chunk_size(count), offset)
+                if not chunk_matches(data, count, key.bucket):
+                    return None
+                rows.extend(decode_chunk(data))
+        except OSError as error:
+            raise StoreError(f"cannot read partition {key}: {error}") from error
+        finally:
+            os.close(fd)
+        return rows
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,7 @@
 """Tests for the queryable segment store (``repro.store``).
 
-Covers the on-disk layout (manifest, partitioning, zone-map sidecars, the
-columnar chunk codec), the typed query surface (pruning accounting,
+Covers the on-disk layout (manifest, one log per device, zone maps in the
+chunk headers, the columnar chunk codec), the typed query surface (pruning accounting,
 predicates, window aggregates), the :class:`StoreSink` live-ingest path,
 and the hub/executor integration — including the headline acceptance
 check: a device/time-window query on a partitioned synthetic fleet reads
@@ -29,11 +29,14 @@ from repro.store import (
     open_store,
 )
 from repro.store.layout import (
+    MANIFEST_NAME,
     bucket_of,
     decode_chunks,
-    decode_device_dir,
+    decode_device_name,
+    device_log_name,
     encode_chunk,
-    encode_device_dir,
+    encode_device_name,
+    scan_device_log,
 )
 from repro.streaming import StreamHub
 from repro.streaming.sinks import SegmentSink
@@ -118,6 +121,16 @@ class TestAppend:
             store.append("cab-1", bad, epsilon=10.0)
         assert store.n_segments == 0
 
+    def test_huge_finite_coordinates_survive_a_reopen(self, store):
+        # The segment's length overflows to inf; its chunk header must
+        # still read back as committed, not as a corrupt tail.
+        store.append("cab-1", seg(0.0, 5.0, x0=-1e308, x1=1e308), epsilon=1.0)
+        store.close()
+        reopened = open_store(store.root)
+        assert reopened.recovery.damaged == 0
+        assert reopened.n_segments == 1
+        assert reopened.partitions() == store.partitions()
+
     def test_append_order_within_partition_is_preserved(self, store):
         first = seg(5.0, 10.0, x0=1.0)
         second = seg(2.0, 8.0, x0=2.0)  # earlier timestamp, later append
@@ -148,7 +161,7 @@ class TestPersistence:
             store.append("cab-1", seg(60.0, 90.0), epsilon=10.0)
             # The LOCK file is excluded: it records pid + wall-clock
             # acquisition time, which is exactly the nondeterminism the
-            # data/sidecar bytes must not contain.
+            # log bytes must not contain.
             return {
                 path.relative_to(root).as_posix(): path.read_bytes()
                 for path in sorted(root.rglob("*"))
@@ -157,37 +170,60 @@ class TestPersistence:
 
         assert build(tmp_path / "a") == build(tmp_path / "b")
 
-    def test_device_dir_names_round_trip_awkward_ids(self, tmp_path):
+    def test_device_log_names_round_trip_awkward_ids(self, tmp_path):
         store = open_store(tmp_path / "s", time_bucket=100.0)
         awkward = ["UPPER/lower", "dots..", "sp ace", "percent%41", "日本語"]
         for device_id in awkward:
             store.append(device_id, seg(0.0, 10.0), epsilon=1.0)
         assert open_store(tmp_path / "s").devices() == sorted(awkward)
         for device_id in awkward:
-            encoded = encode_device_dir(device_id)
+            encoded = encode_device_name(device_id)
             assert "/" not in encoded.removeprefix("d-")
-            assert decode_device_dir(encoded) == device_id
+            assert decode_device_name(encoded) == device_id
 
-    def test_orphan_data_without_sidecar_is_rejected(self, tmp_path):
+    def test_one_log_file_per_device(self, tmp_path):
         store = open_store(tmp_path / "s", time_bucket=100.0)
-        store.append("cab-1", seg(0.0, 10.0), epsilon=1.0)
-        zonemaps = list((tmp_path / "s").rglob("*.zm.json"))
-        assert len(zonemaps) == 1
-        zonemaps[0].unlink()
-        with pytest.raises(StoreError, match="without a zone map"):
+        for device_id in ("cab-1", "cab-2"):
+            store.append(
+                device_id, [seg(0.0, 10.0), seg(150.0, 160.0), seg(420.0, 430.0)],
+                epsilon=1.0,
+            )
+            store.append(device_id, seg(20.0, 30.0), epsilon=2.0)
+        store.close()
+        files = sorted(
+            path.relative_to(tmp_path / "s").as_posix()
+            for path in (tmp_path / "s").rglob("*")
+            if path.is_file()
+        )
+        assert files == [
+            "MANIFEST.json",
+            f"devices/{device_log_name('cab-1')}",
+            f"devices/{device_log_name('cab-2')}",
+        ]
+        assert store.n_partitions == 6
+
+    def test_format_1_store_is_refused(self, tmp_path):
+        open_store(tmp_path / "s").close()
+        manifest = tmp_path / "s" / MANIFEST_NAME
+        payload = json.loads(manifest.read_text())
+        payload["format"] = 1
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match="unsupported store format 1"):
             open_store(tmp_path / "s")
 
-    def test_sidecar_without_data_is_an_empty_partition(self, tmp_path):
-        # The legitimate crash window: covering zone map landed, data
-        # append did not.  Pruning over-approximates; queries see nothing.
+    def test_torn_bucket_leaves_no_partition_behind(self, tmp_path):
+        # A crash inside a multi-bucket append's last chunk: the buckets
+        # whose chunks landed whole stay, the torn bucket has no partition
+        # at all — there is no separate zone map to outlive its data.
         store = open_store(tmp_path / "s", time_bucket=100.0)
-        store.append("cab-1", seg(0.0, 10.0), epsilon=1.0)
-        for data_file in (tmp_path / "s").rglob("*.seg"):
-            data_file.unlink()
+        store.append("cab-1", [seg(0.0, 10.0), seg(250.0, 260.0)], epsilon=1.0)
+        store.close()
+        (log,) = (tmp_path / "s").rglob("*.seg")
+        log.write_bytes(log.read_bytes()[:-5])
         reopened = open_store(tmp_path / "s")
-        assert reopened.n_partitions == 1
-        result = reopened.query(full_scan=True)
-        assert len(result) == 0
+        assert [key.bucket for key, _ in reopened.partitions()] == [0]
+        assert reopened.n_segments == 1
+        assert reopened.time_range() == (0.0, 10.0)
 
     def test_corrupt_chunk_is_recovered_on_open(self, tmp_path):
         # A clobbered magic means no committed prefix at all: recovery
@@ -240,29 +276,33 @@ class TestChunkCodec:
                 patched_end=True,
             ),
         ]
-        data = encode_chunk(records, 12.5)
-        (decoded,) = list(decode_chunks(data))
+        data, _ = encode_chunk(records, 12.5, 7)
+        ((bucket, decoded),) = list(decode_chunks(data))
+        assert bucket == 7
         assert [(r.to_dict(), e) for r, e in decoded] == [
             (r.to_dict(), 12.5) for r in records
         ]
 
     def test_multiple_chunks_decode_in_append_order(self):
-        data = encode_chunk([seg(0.0, 1.0, x0=1.0)], 1.0) + encode_chunk(
-            [seg(2.0, 3.0, x0=2.0)], 2.0
-        )
-        chunks = list(decode_chunks(data))
-        assert len(chunks) == 2
-        assert chunks[0][0][0].start.x == 1.0 and chunks[0][0][1] == 1.0
-        assert chunks[1][0][0].start.x == 2.0 and chunks[1][0][1] == 2.0
+        first, _ = encode_chunk([seg(0.0, 1.0, x0=1.0)], 1.0, 0)
+        second, _ = encode_chunk([seg(2.0, 3.0, x0=2.0)], 2.0, -3)
+        chunks = list(decode_chunks(first + second))
+        assert [bucket for bucket, _ in chunks] == [0, -3]
+        assert chunks[0][1][0][0].start.x == 1.0 and chunks[0][1][0][1] == 1.0
+        assert chunks[1][1][0][0].start.x == 2.0 and chunks[1][1][0][1] == 2.0
+
+
+def zonemap_of(records, epsilon):
+    return encode_chunk(records, epsilon, 0)[1]
 
 
 class TestZoneMap:
-    def test_of_batch_covers_and_merge_widens(self):
-        a = ZoneMap.of_batch([seg(0.0, 50.0, x0=-5.0, y1=9.0)], 10.0)
+    def test_chunk_zone_map_covers_and_merge_widens(self):
+        a = zonemap_of([seg(0.0, 50.0, x0=-5.0, y1=9.0)], 10.0)
         assert a.t_min == 0.0 and a.t_max == 50.0
         assert a.x_min == -5.0 and a.y_max == 9.0
-        assert a.segments == 1
-        b = ZoneMap.of_batch([seg(40.0, 90.0, x1=200.0)], 20.0)
+        assert a.segments == 1 and a.points == 2
+        b = zonemap_of([seg(40.0, 90.0, x1=200.0)], 20.0)
         merged = a.merge(b)
         assert (merged.t_min, merged.t_max) == (0.0, 90.0)
         assert merged.x_max == 200.0
@@ -271,16 +311,25 @@ class TestZoneMap:
         assert not merged.may_contain_epsilon(15.0)
 
     def test_interval_predicates(self):
-        zonemap = ZoneMap.of_batch([seg(10.0, 20.0, x0=0.0, y0=0.0, x1=5.0, y1=5.0)], 1.0)
+        zonemap = zonemap_of([seg(10.0, 20.0, x0=0.0, y0=0.0, x1=5.0, y1=5.0)], 1.0)
         assert zonemap.may_intersect_window((15.0, 30.0))
         assert zonemap.may_intersect_window((20.0, 20.0))  # closed bounds
         assert not zonemap.may_intersect_window((20.5, 30.0))
         assert zonemap.may_intersect_bbox((4.0, 4.0, 9.0, 9.0))
         assert not zonemap.may_intersect_bbox((6.0, 6.0, 9.0, 9.0))
 
-    def test_dict_round_trip(self):
-        zonemap = ZoneMap.of_batch([seg(0.0, 50.0)], 10.0)
-        assert ZoneMap.from_dict(zonemap.to_dict()) == zonemap
+    def test_chunk_header_round_trips_the_zone_map(self, tmp_path):
+        records = [seg(0.0, 50.0, x0=-3.5, y1=2.25), seg(60.0, 70.0, x1=0.1)]
+        data, zonemap = encode_chunk(records, 10.0, 4)
+        path = tmp_path / "log.seg"
+        path.write_bytes(data + data)
+        scan = scan_device_log(path)
+        assert not scan.damaged and scan.valid_bytes == len(data) * 2
+        assert [(c.offset, c.rows, c.bucket) for c in scan.chunks] == [
+            (0, 2, 4), (len(data), 2, 4)
+        ]
+        assert all(chunk.zonemap == zonemap for chunk in scan.chunks)
+        assert isinstance(zonemap, ZoneMap)
 
     def test_bucket_of_handles_negative_times(self):
         assert bucket_of(0.0, 100.0) == 0

@@ -11,12 +11,12 @@ Five properties carry the store's correctness story:
    views the CLI serialises) to the forced full scan.  Together with the
    round-trip property this pins data skipping to "faster, never
    different".
-3. **Crash recovery** — truncating or corrupting a partition file at an
+3. **Crash recovery** — truncating or corrupting a device log at an
    arbitrary byte offset, then reopening, recovers exactly the committed
    chunk prefix; no crash point leaves a partition unreadable.
 4. **Compaction identity** — compacting any store leaves every query's
    results byte-identical, before and after a reopen.
-5. **Pushdown equivalence** — sidecar-served window aggregates equal the
+5. **Pushdown equivalence** — zone-map-served window aggregates equal the
    row-scan path for arbitrary specs and window grids (``total_length``
    up to float summation order).
 """
@@ -31,12 +31,7 @@ from hypothesis import strategies as st
 
 from repro import Point, SegmentRecord
 from repro.store import QuerySpec, open_store
-from repro.store.layout import (
-    DEVICES_DIR,
-    encode_chunk,
-    encode_device_dir,
-    partition_data_name,
-)
+from repro.store.layout import DEVICES_DIR, device_log_name, encode_chunk
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -103,37 +98,37 @@ def reference_rows(batches):
     return rows
 
 
-def reference_partitions(batches):
-    """Per-partition chunk model mirroring ``Store.append``'s grouping:
-    ``(device, bucket) -> [(chunk_byte_length, [(record, epsilon), ...])]``
-    in append order — the byte layout of every partition file."""
-    partitions = {}
+def reference_logs(batches):
+    """Per-device chunk model mirroring ``Store.append``'s grouping:
+    ``device -> [(chunk_byte_length, bucket, [(record, epsilon), ...])]``
+    in log order — the byte layout of every device log."""
+    logs = {}
     for device, epsilon, records in batches:
         grouped = {}
         for record in records:
             grouped.setdefault(int(record.start.t // 100.0), []).append(record)
         for bucket in sorted(grouped):
             chunk = grouped[bucket]
-            encoded = encode_chunk(chunk, epsilon)
-            partitions.setdefault((device, bucket), []).append(
-                (len(encoded), [(record, epsilon) for record in chunk])
+            encoded, _ = encode_chunk(chunk, epsilon, bucket)
+            logs.setdefault(device, []).append(
+                (len(encoded), bucket, [(record, epsilon) for record in chunk])
             )
-    return partitions
+    return logs
 
 
-def expected_query_dicts(partitions, override_key=None, override_rows=None):
-    """The full-store query result implied by the partition model, with one
-    partition's rows optionally replaced (the crash-clamped prefix)."""
+def expected_query_dicts(logs):
+    """The full-store query result implied by the log model: canonical
+    order is (device, bucket, log order)."""
     expected = []
-    for key in sorted(partitions):
-        if key == override_key:
-            rows = override_rows
-        else:
-            rows = [row for _, chunk_rows in partitions[key] for row in chunk_rows]
-        expected.extend(
-            {"device": key[0], "epsilon": epsilon, "segment": record.to_dict()}
-            for record, epsilon in rows
-        )
+    for device in sorted(logs):
+        by_bucket = {}
+        for _, bucket, rows in logs[device]:
+            by_bucket.setdefault(bucket, []).extend(rows)
+        for bucket in sorted(by_bucket):
+            expected.extend(
+                {"device": device, "epsilon": epsilon, "segment": record.to_dict()}
+                for record, epsilon in by_bucket[bucket]
+            )
     return expected
 
 
@@ -185,6 +180,9 @@ class TestStoreProperties:
         reopened = open_store(root / "segments")
         assert [s.to_dict() for s in reopened.query().segments] == before
         assert reopened.n_segments == store.n_segments
+        # Both sides fold the chunk zone maps in log order, so the zone
+        # maps rebuilt from the headers equal the writer's bit for bit.
+        assert reopened.partitions() == store.partitions()
 
     @settings(**COMMON_SETTINGS)
     @given(batches=append_batches(), data=st.data())
@@ -196,21 +194,15 @@ class TestStoreProperties:
         for device, epsilon, records in batches:
             store.append(device, records, epsilon=epsilon)
         store.close()
-        partitions = reference_partitions(batches)
-        assume(partitions)
+        logs = reference_logs(batches)
+        assume(logs)
 
-        target = data.draw(st.sampled_from(sorted(partitions)), label="partition")
-        chunks = partitions[target]
-        total_bytes = sum(length for length, _ in chunks)
-        path = (
-            root
-            / "segments"
-            / DEVICES_DIR
-            / encode_device_dir(target[0])
-            / partition_data_name(target[1])
-        )
+        target = data.draw(st.sampled_from(sorted(logs)), label="device")
+        chunks = logs[target]
+        total_bytes = sum(length for length, _, _ in chunks)
+        path = root / "segments" / DEVICES_DIR / device_log_name(target)
         if data.draw(st.booleans(), label="truncate"):
-            # Crash mid-append: the file ends at an arbitrary byte offset.
+            # Crash mid-append: the log ends at an arbitrary byte offset.
             offset = data.draw(
                 st.integers(min_value=0, max_value=total_bytes - 1), label="offset"
             )
@@ -219,10 +211,10 @@ class TestStoreProperties:
             committed = []
             boundary = 0
             boundaries = {0}
-            for length, chunk_rows in chunks:
-                if boundary + length <= offset:
-                    committed.extend(chunk_rows)
-                boundary += length
+            for chunk in chunks:
+                if boundary + chunk[0] <= offset:
+                    committed.append(chunk)
+                boundary += chunk[0]
                 boundaries.add(boundary)
             expect_damage = offset not in boundaries
         else:
@@ -234,14 +226,12 @@ class TestStoreProperties:
             )
             with open(path, "ab") as handle:
                 handle.write(garbage)
-            committed = [row for _, chunk_rows in chunks for row in chunk_rows]
+            committed = chunks
             expect_damage = True
 
         reopened = open_store(root / "segments")
         assert reopened.recovery.damaged == (1 if expect_damage else 0)
-        expected = expected_query_dicts(
-            partitions, override_key=target, override_rows=committed
-        )
+        expected = expected_query_dicts({**logs, target: committed})
         assert [s.to_dict() for s in reopened.query().segments] == expected
         assert reopened.n_segments == len(expected)
         # The repair was physical: on disk only the committed prefix remains,

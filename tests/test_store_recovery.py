@@ -2,13 +2,16 @@
 
 Covers the single-writer lock protocol (``O_EXCL`` lock file, in-process
 registry, stale-lock takeover), torn-tail recovery deferred behind a live
-writer's lock, stale temp-file sweeping at open, partition compaction
-(byte-identical queries, crash-debris repair) and zone-map aggregate
-pushdown (fully-covered windows answered at scan fraction 0).
+writer's lock, stale temp-file sweeping at open, compaction
+(byte-identical queries), all-or-nothing appends under injected I/O
+failures, the stale-extent guard between handles, crash points inside an
+append, and zone-map aggregate pushdown (fully-covered windows answered
+at scan fraction 0).
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -18,21 +21,20 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.store.store as store_module
 from repro import InvalidParameterError, Point, SegmentRecord
 from repro.exceptions import StoreError
-from repro.store import PartitionKey, StoreLock, open_store
+from repro.store import PartitionKey, QuerySpec, StoreLock, open_store
 from repro.store.layout import (
     DEVICES_DIR,
     LOCK_NAME,
     MANIFEST_NAME,
-    ZoneMap,
+    chunk_size,
+    device_log_name,
     encode_chunk,
-    encode_device_dir,
-    partition_data_name,
-    partition_zonemap_name,
-    read_zonemap,
-    write_zonemap,
 )
 
 
@@ -48,14 +50,8 @@ def seg(t0: float, t1: float, *, x0=0.0, y0=0.0, x1=100.0, y1=0.0, first=0, last
     )
 
 
-def partition_path(root, device_id: str, bucket: int):
-    return root / DEVICES_DIR / encode_device_dir(device_id) / partition_data_name(bucket)
-
-
-def zonemap_path(root, device_id: str, bucket: int):
-    return (
-        root / DEVICES_DIR / encode_device_dir(device_id) / partition_zonemap_name(bucket)
-    )
+def log_path(root, device_id: str):
+    return root / DEVICES_DIR / device_log_name(device_id)
 
 
 def dead_pid() -> int:
@@ -214,7 +210,7 @@ class TestRecoveryUnderContention:
     def test_torn_tail_repair_defers_behind_a_live_writer(self, tmp_path):
         writer = open_store(tmp_path / "s", time_bucket=100.0, writer=True)
         writer.append("cab-1", [seg(0.0, 40.0), seg(50.0, 90.0)], epsilon=5.0)
-        path = partition_path(writer.root, "cab-1", 0)
+        path = log_path(writer.root, "cab-1")
         committed = path.stat().st_size
         with open(path, "ab") as handle:
             handle.write(b"\x01\x02\x03")  # torn tail (crash mid-append)
@@ -248,14 +244,10 @@ class TestRecoveryUnderContention:
         # committed data — the repair must re-scan under the lock instead.
         writer = open_store(tmp_path / "s", time_bucket=100.0, writer=True)
         writer.append("cab-1", seg(0.0, 40.0), epsilon=5.0)
-        path = partition_path(writer.root, "cab-1", 0)
-        zm_path = zonemap_path(writer.root, "cab-1", 0)
+        path = log_path(writer.root, "cab-1")
 
-        # The live writer is mid-append: the covering zone map has landed,
-        # the chunk is half-flushed.
-        tail = [seg(50.0, 90.0, first=2, last=3)]
-        encoded = encode_chunk(tail, 5.0)
-        write_zonemap(zm_path, read_zonemap(zm_path).merge(ZoneMap.of_batch(tail, 5.0)))
+        # The live writer is mid-append: its chunk is half-flushed.
+        encoded, _ = encode_chunk([seg(50.0, 90.0, first=2, last=3)], 5.0, 0)
         with open(path, "ab") as handle:
             handle.write(encoded[: len(encoded) // 2])
 
@@ -285,13 +277,10 @@ class TestRecoveryUnderContention:
         # it.  The repair must trust only a scan taken under the lock.
         store = open_store(tmp_path / "s", time_bucket=100.0, writer=True)
         store.append("cab-1", seg(0.0, 40.0), epsilon=5.0)
-        path = partition_path(store.root, "cab-1", 0)
-        zm_path = zonemap_path(store.root, "cab-1", 0)
+        path = log_path(store.root, "cab-1")
         store.close()
 
-        tail = [seg(50.0, 90.0, first=2, last=3)]
-        encoded = encode_chunk(tail, 5.0)
-        write_zonemap(zm_path, read_zonemap(zm_path).merge(ZoneMap.of_batch(tail, 5.0)))
+        encoded, _ = encode_chunk([seg(50.0, 90.0, first=2, last=3)], 5.0, 0)
         with open(path, "ab") as handle:
             handle.write(encoded[: len(encoded) // 2])
 
@@ -315,14 +304,14 @@ class TestRecoveryUnderContention:
         assert len(reopened.query(device="cab-1").segments) == 2
 
     def test_query_clamps_a_concurrent_half_flushed_chunk(self, tmp_path):
-        # The partition file is re-read on every query, so a writer's
+        # The device log is re-read on every query, so a writer's
         # half-flushed chunk can become visible after a clean open; the
-        # read must clamp to the committed prefix, not fail the query.
+        # read must stay within the committed extents, not fail the query.
         writer = open_store(tmp_path / "s", time_bucket=100.0, writer=True)
         writer.append("cab-1", [seg(0.0, 40.0), seg(50.0, 90.0)], epsilon=5.0)
         reader = open_store(tmp_path / "s")
         assert reader.recovery.damaged == 0
-        path = partition_path(tmp_path / "s", "cab-1", 0)
+        path = log_path(tmp_path / "s", "cab-1")
         with open(path, "ab") as handle:
             handle.write(b"\x99" * 7)  # a concurrent writer's torn bytes
         assert len(reader.query(device="cab-1").segments) == 2
@@ -331,7 +320,7 @@ class TestRecoveryUnderContention:
     def test_recovery_report_serialises(self, tmp_path):
         store = open_store(tmp_path / "s", time_bucket=100.0)
         store.append("cab-1", seg(0.0, 40.0), epsilon=5.0)
-        path = partition_path(store.root, "cab-1", 0)
+        path = log_path(store.root, "cab-1")
         path.write_bytes(path.read_bytes()[:-4])
         store.close()
         reopened = open_store(tmp_path / "s")
@@ -358,7 +347,7 @@ class TestOpenStoreHygiene:
         root = tmp_path / "s"
         manifest_tmp = root / (MANIFEST_NAME + ".tmp")
         manifest_tmp.write_text("{}")
-        device_tmp = root / DEVICES_DIR / encode_device_dir("cab-1") / "b0.zm.json.tmp"
+        device_tmp = root / DEVICES_DIR / (device_log_name("cab-1") + ".tmp")
         device_tmp.write_text("{}")
         reopened = open_store(root)
         assert not manifest_tmp.exists()
@@ -410,7 +399,7 @@ class TestCompaction:
         assert report.chunks_merged == 3
         item = report.compacted[0]
         assert item.chunks_before == 4 and item.chunks_after == 1
-        assert not item.repaired
+        assert item.bytes_after < item.bytes_before
         after = [s.record.to_dict() for s in store.query(device="cab-1").segments]
         assert after == before
         # The compacted layout survives a reopen identically.
@@ -451,77 +440,103 @@ class TestCompaction:
         assert len(store.query(epsilon=25.0).segments) == 1
         store.close()
 
-    def test_crash_window_partition_is_dropped(self, tmp_path):
+    def test_torn_tail_zone_maps_are_exact_without_compaction(self, tmp_path):
+        # The zone maps are folded from committed chunk headers only, so a
+        # torn tail never leaves a widened bound or an empty partition
+        # behind: pushdown serves the salvaged partition right away.
         store = open_store(tmp_path / "s", time_bucket=100.0)
-        store.append("cab-1", seg(0.0, 10.0), epsilon=5.0)
-        store.append("cab-1", seg(250.0, 260.0), epsilon=5.0)
+        store.append("cab-1", [seg(0.0, 40.0), seg(50.0, 90.0)], epsilon=5.0)
+        store.append("cab-1", [seg(10.0, 70.0), seg(250.0, 260.0)], epsilon=5.0)
         store.close()
-        # Crash window: the covering sidecar landed, the data append never
-        # did.  Deleting the data file reproduces it exactly.
-        partition_path(tmp_path / "s", "cab-1", 2).unlink()
-        store = open_store(tmp_path / "s")
-        assert store.n_partitions == 2 and store.n_segments == 1
-        report = store.compact()
-        assert report.partitions_removed == 1
-        assert not zonemap_path(tmp_path / "s", "cab-1", 2).exists()
-        assert store.n_partitions == 1
-        store.close()
+        path = log_path(tmp_path / "s", "cab-1")
+        path.write_bytes(path.read_bytes()[:-6])  # tear the bucket-2 chunk
 
-    def test_compaction_repairs_a_salvaged_partition(self, tmp_path):
+        store = open_store(tmp_path / "s")
+        assert store.recovery.damaged == 1
+        assert [key.bucket for key, _ in store.partitions()] == [0]
+        (zonemap,) = [zonemap for _, zonemap in store.partitions()]
+        assert (zonemap.segments, zonemap.chunks) == (3, 2)
+        assert (zonemap.t_min, zonemap.t_max) == (0.0, 90.0)
+        aggregates = store.window_aggregates(width=200.0, window=(-1.0, 199.0))
+        assert aggregates.partitions_pushdown == 1
+        assert aggregates.partitions_scanned == 0
+        assert aggregates.windows[0].segments == 3
+
+    def test_salvaged_partition_stays_exact_through_compaction(self, tmp_path):
         store = open_store(tmp_path / "s", time_bucket=100.0)
         store.append("cab-1", [seg(0.0, 40.0), seg(50.0, 90.0)], epsilon=5.0)
         store.append("cab-1", seg(10.0, 70.0), epsilon=5.0)
+        store.append("cab-1", seg(20.0, 80.0), epsilon=5.0)
         store.close()
-        path = partition_path(tmp_path / "s", "cab-1", 0)
+        path = log_path(tmp_path / "s", "cab-1")
         path.write_bytes(path.read_bytes()[:-6])  # tear the last chunk
 
         store = open_store(tmp_path / "s")
         assert store.recovery.damaged == 1
-        # The sidecar still covers the lost chunk: over-approximating
-        # counts disqualify the partition from pushdown until repaired.
-        aggregates = store.window_aggregates(width=200.0, window=(-1.0, 199.0))
-        assert aggregates.partitions_pushdown == 0
-        assert aggregates.windows[0].segments == 2
-
+        before = [s.to_dict() for s in store.query().segments]
+        assert len(before) == 3
         report = store.compact()
         assert report.partitions_compacted == 1
-        assert report.compacted[0].repaired
+        assert report.compacted[0].chunks_before == 2
+        assert [s.to_dict() for s in store.query().segments] == before
         aggregates = store.window_aggregates(width=200.0, window=(-1.0, 199.0))
         assert aggregates.partitions_pushdown == 1
         assert aggregates.partitions_scanned == 0
-        assert aggregates.windows[0].segments == 2
+        assert aggregates.windows[0].segments == 3
+        store.close()
+
+    def test_compaction_keeps_small_partitions_bytes_verbatim(self, tmp_path):
+        store = open_store(tmp_path / "s", time_bucket=100.0)
+        store.append("cab-1", [seg(0.0, 10.0), seg(250.0, 260.0)], epsilon=5.0)
+        store.append("cab-1", seg(20.0, 30.0), epsilon=5.0)
+        untouched = store.partitions()[1]
+        log = log_path(store.root, "cab-1")
+        ((offset, rows),) = store._extents[PartitionKey("cab-1", 2)]
+        chunk = log.read_bytes()[offset : offset + chunk_size(rows)]
+        report = store.compact()
+        assert [item.key.bucket for item in report.compacted] == [0]
+        assert report.partitions_considered == 2
+        # One chunk per bucket, in bucket order; bucket 2's single chunk is
+        # copied byte for byte, so its zone map is unchanged.
+        merged = chunk_size(2)
+        assert store._extents[PartitionKey("cab-1", 0)] == [(0, 2)]
+        assert store._extents[PartitionKey("cab-1", 2)] == [(merged, 1)]
+        assert log.read_bytes()[merged:] == chunk
+        assert store.partitions()[1] == untouched
         store.close()
 
 
+def enospc_after(monkeypatch, fraction: float = 0.5):
+    """Make the next device-log write put down part of its bytes, then fail
+    with ENOSPC — a disk filling up mid-append."""
+    real = store_module._write_all
+    calls = []
+
+    def failing_write_all(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            real(fd, data[: int(len(data) * fraction)])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(fd, data)
+
+    monkeypatch.setattr(store_module, "_write_all", failing_write_all)
+    return calls
+
+
 class TestAppendAtomicity:
-    @staticmethod
-    def _fail_second_zonemap_write(monkeypatch):
-        """Patch the store's zone-map write to fail once, on its 2nd call."""
-        import repro.store.store as store_module
-
-        real = store_module.write_zonemap
-        calls = []
-
-        def failing_write_zonemap(path, zonemap):
-            calls.append(path)
-            if len(calls) == 2:
-                raise StoreError("injected zone-map failure")
-            real(path, zonemap)
-
-        monkeypatch.setattr(store_module, "write_zonemap", failing_write_zonemap)
-
     def test_failed_multi_bucket_append_rolls_back(self, tmp_path, monkeypatch):
-        # append writes one chunk per time bucket in sequence; a failure on
-        # the second bucket must roll the first bucket's chunk back, so a
-        # retry can re-send the whole batch without duplicating segments.
+        # append writes one chunk per time bucket in a single write; a
+        # failure part-way through must cut the log back to its size before
+        # the call, so a retry can re-send the whole batch without
+        # duplicating segments.
         store = open_store(tmp_path / "s", time_bucket=100.0)
         store.append("cab-1", seg(0.0, 10.0), epsilon=5.0)
-        self._fail_second_zonemap_write(monkeypatch)
+        enospc_after(monkeypatch, fraction=0.8)  # past the first bucket's chunk
         batch = [
             seg(120.0, 130.0, first=2, last=3),
             seg(250.0, 260.0, first=4, last=5),
         ]
-        with pytest.raises(StoreError, match="injected"):
+        with pytest.raises(StoreError, match="No space left"):
             store.append("cab-1", batch, epsilon=5.0)
         # Nothing from the failed call is visible — not even its first bucket.
         assert store.n_segments == 1
@@ -537,19 +552,219 @@ class TestAppendAtomicity:
         self, tmp_path, monkeypatch
     ):
         store = open_store(tmp_path / "s", time_bucket=100.0)
+        store.append("cab-1", seg(0.0, 5.0, first=0, last=1), epsilon=5.0)
+        path = log_path(store.root, "cab-1")
+        size_before = path.stat().st_size
         sink = store.sink("cab-1", epsilon=5.0, buffer_size=100)
-        sink.accept(seg(10.0, 20.0))
+        sink.accept(seg(10.0, 20.0, first=1, last=2))
         sink.accept(seg(150.0, 160.0, first=2, last=3))
-        self._fail_second_zonemap_write(monkeypatch)
-        with pytest.raises(StoreError, match="injected"):
+        sink.accept(seg(350.0, 360.0, first=3, last=4))
+        enospc_after(monkeypatch)
+        with pytest.raises(StoreError, match="cab-1") as raised:
             sink.flush()
+        # The failure is a StoreError naming the device, wrapping ENOSPC.
+        assert isinstance(raised.value.__cause__, OSError)
+        assert raised.value.__cause__.errno == errno.ENOSPC
+        # The log is back at its size before the call.
+        assert path.stat().st_size == size_before
         # The batch survives the failure in the buffer, unwritten.
-        assert sink.pending == 2 and sink.segments_written == 0
-        assert store.n_segments == 0
+        assert sink.pending == 3 and sink.segments_written == 0
+        assert store.n_segments == 1
         sink.close()  # retries the flush
-        assert sink.segments_written == 2
+        assert sink.segments_written == 3
+        # Each segment persisted exactly once, also after a reopen.
+        expected = [0, 1, 2, 3]
+        assert [s.record.first_index for s in store.query(device="cab-1").segments] == expected
+        store.close()
+        reopened = open_store(tmp_path / "s")
+        assert reopened.recovery.damaged == 0
+        assert [
+            s.record.first_index for s in reopened.query(device="cab-1").segments
+        ] == expected
+
+    def test_failure_to_create_the_log_names_the_device(self, tmp_path):
+        store = open_store(tmp_path / "s", time_bucket=100.0)
+        # A directory squatting on the log's name makes opening it fail.
+        log_path(store.root, "cab-1").mkdir()
+        with pytest.raises(StoreError, match="'cab-1'"):
+            store.append("cab-1", seg(0.0, 10.0), epsilon=5.0)
+        assert store.n_segments == 0
+        store.close()
+
+    def test_failure_to_truncate_back_is_a_store_error(self, tmp_path, monkeypatch):
+        store = open_store(tmp_path / "s", time_bucket=100.0)
+        store.append("cab-1", seg(0.0, 10.0), epsilon=5.0)
+        enospc_after(monkeypatch)
+
+        def failing_ftruncate(fd, length):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "ftruncate", failing_ftruncate)
+        with pytest.raises(StoreError, match="nor truncate it back") as raised:
+            store.append("cab-1", seg(20.0, 30.0), epsilon=5.0)
+        assert "'cab-1'" in str(raised.value)
+        monkeypatch.undo()
+        assert store.n_segments == 1
+        # The half-written tail is torn: the next append re-walks the log
+        # under the writer lock, cuts it and lands cleanly.
+        assert store.append("cab-1", seg(20.0, 30.0), epsilon=5.0) == 1
         assert len(store.query(device="cab-1").segments) == 2
         store.close()
+        assert open_store(tmp_path / "s").recovery.damaged == 0
+
+
+class TestStaleExtentGuard:
+    def _two_handles(self, tmp_path):
+        writer = open_store(tmp_path / "s", time_bucket=100.0)
+        for t in (0.0, 20.0, 40.0, 250.0):
+            writer.append("cab-1", seg(t, t + 10.0, x0=t), epsilon=5.0)
+        writer.close()
+        reader = open_store(tmp_path / "s")
+        return writer, reader
+
+    def test_query_after_another_handle_compacts_rewalks(self, tmp_path):
+        writer, reader = self._two_handles(tmp_path)
+        before = [s.to_dict() for s in reader.query().segments]
+        stale = dict(reader._extents)
+        writer.compact()
+        writer.close()
+        # The reader's extents point into the old log; the chunk headers
+        # there no longer match, so it re-walks and answers correctly.
+        assert [s.to_dict() for s in reader.query().segments] == before
+        assert reader._extents != stale
+        assert reader.partitions() == writer.partitions()
+
+    def test_query_after_another_handle_truncates_rewalks(self, tmp_path):
+        writer, reader = self._two_handles(tmp_path)
+        path = log_path(tmp_path / "s", "cab-1")
+        # Another handle cut the log back (say, a torn-tail repair after
+        # it lost the last chunk): the reader's last extent points past
+        # the end of the log.
+        (last_offset, _), = reader._extents[PartitionKey("cab-1", 2)]
+        os.truncate(path, last_offset)
+        result = reader.query(device="cab-1")
+        assert [s.record.start.t for s in result.segments] == [0.0, 20.0, 40.0]
+        assert reader.n_partitions == 1
+
+    def test_still_stale_after_a_rewalk_raises(self, tmp_path, monkeypatch):
+        writer, reader = self._two_handles(tmp_path)
+        writer.compact()
+        writer.close()
+        # A re-walk that finds nothing new (the log changed again right
+        # after it) must not lead to decoding rows at a stale offset.
+        monkeypatch.setattr(type(reader), "_reload_log", lambda self, device_id: None)
+        with pytest.raises(StoreError, match="no longer holds"):
+            reader.query(device="cab-1")
+
+
+class TestCrashPoints:
+    """Cut the device log at every byte inside a 3-bucket append."""
+
+    EARLIER = [seg(0.0, 10.0, x0=1.0, first=0, last=1), seg(150.0, 160.0, x0=2.0, first=1, last=2)]
+    APPENDED = [
+        seg(20.0, 30.0, x0=3.0, first=2, last=3),
+        seg(160.0, 170.0, x0=4.0, first=3, last=4),
+        seg(180.0, 190.0, x0=5.0, first=4, last=5),
+        seg(420.0, 430.0, x0=6.0, first=5, last=6),
+    ]
+    SPECS = [
+        QuerySpec(),
+        QuerySpec(window=(15.0, 175.0)),
+        QuerySpec(bbox=(2.5, -1.0, 4.5, 1.0)),
+        QuerySpec(device="cab-1", window=(400.0, 500.0)),
+    ]
+
+    def _fresh(self, root, committed_chunks):
+        """A store holding the same committed rows, written chunk by chunk."""
+        store = open_store(root, time_bucket=100.0)
+        store.append("cab-1", self.EARLIER, epsilon=5.0)
+        for records in committed_chunks:
+            store.append("cab-1", records, epsilon=5.0)
+        store.close()
+        return store
+
+    def test_every_cut_recovers_the_committed_chunks(self, tmp_path):
+        store = open_store(tmp_path / "s", time_bucket=100.0)
+        store.append("cab-1", self.EARLIER, epsilon=5.0)
+        path = log_path(store.root, "cab-1")
+        start = path.stat().st_size
+        store.append("cab-1", self.APPENDED, epsilon=5.0)
+        store.close()
+        full = path.read_bytes()
+        by_bucket = {}
+        for record in self.APPENDED:
+            by_bucket.setdefault(int(record.start.t // 100.0), []).append(record)
+        chunks = [by_bucket[bucket] for bucket in sorted(by_bucket)]
+        assert len(chunks) == 3
+        boundaries = [start]
+        for records in chunks:
+            boundaries.append(boundaries[-1] + len(encode_chunk(records, 5.0, 0)[0]))
+        assert boundaries[-1] == len(full)
+
+        fresh = {}
+        for cut in range(start, len(full)):
+            path.write_bytes(full[:cut])
+            reopened = open_store(tmp_path / "s")
+            kept = sum(1 for end in boundaries[1:] if end <= cut)
+            assert reopened.recovery.damaged == (0 if cut in boundaries else 1)
+            if kept not in fresh:
+                fresh[kept] = self._fresh(tmp_path / f"fresh-{kept}", chunks[:kept])
+            reference = fresh[kept]
+            # Recovery keeps exactly the earlier committed chunks, and the
+            # zone maps rebuilt from them equal a fresh store's, bit for bit.
+            assert reopened.partitions() == reference.partitions()
+            assert [s.to_dict() for s in reopened.query().segments] == [
+                s.to_dict() for s in reference.query().segments
+            ]
+            for spec in self.SPECS:
+                pruned = reopened.query(spec)
+                assert pruned.segments == reopened.query(spec, full_scan=True).segments
+            assert path.stat().st_size == boundaries[kept]
+
+    @settings(
+        deadline=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        tail=st.one_of(
+            st.binary(max_size=300),
+            st.integers(min_value=0, max_value=600).map(
+                lambda n: encode_chunk(
+                    [seg(500.0, 510.0), seg(520.0, 530.0)], 5.0, 5
+                )[0][:n]
+            ),
+        )
+    )
+    def test_arbitrary_tail_recovers_the_prefix_or_raises(self, tmp_path, tail):
+        root = tmp_path / "fuzz"
+        if not root.exists():
+            store = open_store(root, time_bucket=100.0)
+            store.append("cab-1", self.EARLIER, epsilon=5.0)
+            store.append("cab-1", self.APPENDED, epsilon=5.0)
+            store.close()
+        path = log_path(root, "cab-1")
+        prefix = path.read_bytes()
+        reference = open_store(root)
+        expected = [s.to_dict() for s in reference.query().segments]
+        partitions = reference.partitions()
+        path.write_bytes(prefix + tail)
+        try:
+            reopened = open_store(root)
+        except StoreError:
+            path.write_bytes(prefix)
+            return
+        if reopened.n_segments == len(expected):
+            assert [s.to_dict() for s in reopened.query().segments] == expected
+            assert reopened.partitions() == partitions
+        else:
+            # The tail held a whole valid chunk (the full encoded chunk):
+            # the prefix still reads back unchanged before it.
+            assert tail == encode_chunk(
+                [seg(500.0, 510.0), seg(520.0, 530.0)], 5.0, 5
+            )[0]
+            assert [s.to_dict() for s in reopened.query().segments][: len(expected)] == expected
+        path.write_bytes(prefix)
 
 
 class TestAggregatePushdown:
