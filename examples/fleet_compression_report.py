@@ -9,7 +9,7 @@ downstream user would run on their own data before picking an algorithm and
 an error bound.
 
 ``WORKERS`` defaults to 1 because this demo fleet is tiny (3 trajectories
-per cell) and process-pool startup would dominate the timing columns.  On a
+per cell) and worker-process startup would dominate the timing columns.  On a
 real fleet (hundreds to thousands of trajectories) set it to your core
 count — the same ``run_many`` call then turns hours into minutes.
 

@@ -1,8 +1,8 @@
 """RPA005 — process-boundary exception safety.
 
-Exceptions crossing the process backend are reduced to ``(type name,
-message)`` pairs and revived on the parent side by calling the class with
-the message (see ``repro.exec.actors._revive_exception``).  A class whose
+Exceptions crossing the node backend's process boundary are reduced to
+``(type name, message)`` pairs and revived on the parent side by calling
+the class with the message (see ``repro.exec.actors._revive_exception``).  A class whose
 constructor demands extra positional arguments, or whose instances carry
 closure/lambda state, silently downgrades to a generic error when revived —
 the caller loses the type it was promised it could catch.  This rule checks
@@ -77,7 +77,7 @@ class ProcessSafetyRule(Rule):
     rule_id = "RPA005"
     name = "process-boundary-safety"
     description = (
-        "exception classes must be revivable across the process backend: "
+        "exception classes must be revivable across the process boundary: "
         "constructor callable as cls(message), no lambda attributes"
     )
 
@@ -96,7 +96,7 @@ class ProcessSafetyRule(Rule):
                     f"{node.name}.__init__",
                     f"{node.name}.__init__ requires {required} positional "
                     f"arguments — cls(message) revival across the process "
-                    f"backend would raise TypeError",
+                    f"boundary would raise TypeError",
                     hint="default every positional parameter after the message",
                 )
             for name in _undefaulted_kwonly(init):

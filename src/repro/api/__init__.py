@@ -8,8 +8,8 @@ streaming factory + capability flags) in one registry; the
 - ``Simplifier(name, epsilon).run(trajectory)`` — batch,
 - ``.open_stream()`` — push/finish streaming, auto-wrapping batch-only
   algorithms in :class:`BufferedBatchAdapter`,
-- ``.run_many(trajectories, workers=N)`` — fleet-scale execution over a
-  process pool with per-trajectory error isolation.
+- ``.run_many(trajectories, workers=N)`` — fleet-scale execution over
+  node worker processes with per-trajectory error isolation.
 
 The CLI, the experiment harness, the streaming pipelines and
 :func:`repro.metrics.evaluate_fleet` all dispatch through here; the legacy

@@ -16,7 +16,7 @@ routes each mode accordingly: ``open_stream`` uses the native streaming
 factory when the algorithm has one and transparently wraps batch-only
 algorithms in a :class:`~repro.api.BufferedBatchAdapter`; ``run_many`` fans
 the fleet out over a pluggable :mod:`repro.exec` backend (serial, thread
-pool or process pool) with per-trajectory error isolation.
+pool or node worker processes) with per-trajectory error isolation.
 """
 
 from __future__ import annotations
@@ -409,15 +409,14 @@ class Simplifier:
         workers: int = 1,
         backend: str = "auto",
         on_error: str = "raise",
-        chunksize: int | None = None,
         sink_factory=None,
     ):
         """Compress a fleet of trajectories, optionally in parallel.
 
         ``backend`` selects the :mod:`repro.exec` execution backend
-        (``"serial"``, ``"thread"``, ``"process"``, or ``"auto"`` — serial
-        for one worker, a process pool otherwise).  ``sink_factory`` routes
-        each successful trajectory's segments through a
+        (``"serial"``, ``"thread"``, ``"node"``, or ``"auto"`` — serial
+        for one worker, node worker processes otherwise).  ``sink_factory``
+        routes each successful trajectory's segments through a
         :class:`~repro.streaming.sinks.SegmentSink` (e.g.
         ``Store.sink_factory(...)`` to persist the fleet into a segment
         store).  See :func:`repro.api.executor.run_many` for the full
@@ -436,7 +435,6 @@ class Simplifier:
             workers=workers,
             backend=backend,
             on_error=on_error,
-            chunksize=chunksize,
             sink_factory=sink_factory,
         )
 

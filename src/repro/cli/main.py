@@ -146,14 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         default="serial",
-        choices=["serial", "thread", "process", "node"],
-        help="execution backend driving the hub shards (default serial)",
+        choices=["serial", "thread", "node", "process"],
+        help="execution backend driving the hub shards (default serial; "
+        "'process' is an alias of 'node')",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process/node backends (default: CPU "
+        help="worker count for the thread/node backends (default: CPU "
         "count, clamped to the shard count)",
     )
     serve.add_argument(
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--backend",
         default=None,
-        choices=["serial", "thread", "process", "node"],
+        choices=["serial", "thread", "node"],
         help="override the execution backend of every hub/fleet case",
     )
     perf.add_argument(

@@ -15,9 +15,10 @@ Two execution shapes are offered:
   :mod:`repro.exec.actors`) for long-lived stateful workers such as the
   hub's shards.
 
-All four backends (``serial``, ``thread``, ``process``, ``node``) are
-contractually equivalent: for deterministic work they produce byte-identical
-results, a property the test suite locks in across both consumers.
+All three runtimes (``serial``, ``thread``, ``node``) are contractually
+equivalent: for deterministic work they produce byte-identical results, a
+property the test suite locks in across both consumers.  ``node`` is the
+only out-of-process runtime; ``"process"`` resolves to it as an alias.
 
 ``NodeBackend`` / ``NodeActorGroup`` (:mod:`repro.exec.node`) are exported
 lazily: the node backend depends on the streaming wire codec, and importing
@@ -28,14 +29,12 @@ during package init.
 from .actors import (
     ActorCrash,
     ActorGroup,
-    ProcessActorGroup,
     SerialActorGroup,
     ThreadActorGroup,
 )
 from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     TaskFailure,
     TaskOutcome,
@@ -50,8 +49,6 @@ __all__ = [
     "ExecutionBackend",
     "NodeActorGroup",
     "NodeBackend",
-    "ProcessActorGroup",
-    "ProcessBackend",
     "SerialActorGroup",
     "SerialBackend",
     "TaskFailure",

@@ -1,15 +1,14 @@
-"""Distributed ``node`` backend: actor workers reached over sockets.
+"""The ``node`` backend: actor workers reached over sockets.
 
-:class:`ProcessActorGroup` runs actors in child processes wired to the
-parent by multiprocessing pipes — which works only because parent and
-worker share a machine and an ancestry.  This module re-implements the
-same tell/ask/barrier mailbox protocol over a length-prefixed socket RPC,
-the shape a genuinely distributed shard fabric needs: workers *connect* to
-the parent and complete a token handshake, liveness is observed through
-heartbeats rather than process handles, and every payload crosses the
-boundary as a :mod:`repro.streaming.wire` frame.
+This is the package's one out-of-process runtime (``"process"`` resolves
+to it).  It runs the tell/ask/barrier mailbox protocol of
+:mod:`repro.exec.actors` over a length-prefixed socket RPC, the shape a
+distributed shard fabric needs: workers *connect* to the parent and
+complete a token handshake, liveness is observed through heartbeats rather
+than process handles, and every payload crosses the boundary as a
+:mod:`repro.streaming.wire` frame.
 
-Today the workers are still local child processes (``127.0.0.1``), so the
+Today the workers are local child processes (``127.0.0.1``), so the
 backend is testable in CI and byte-identical to the serial reference; the
 protocol itself never assumes locality.
 
@@ -26,7 +25,7 @@ packet announcing more is refused before its body is read.
 id for ``ASK``/``BARRIER`` round trips.  The payload is a wire frame body:
 
 - generic messages, replies and events travel as ``blob`` frames wrapping a
-  pickle (the same contract as the process backend's pipes);
+  pickle;
 - the hub's hot-path ``("push_frame", <bytes>)`` tells travel as the raw
   columnar ``point-batch`` frame — zero pickling on the ingest path;
 - shard segment events travel as columnar ``segment-batch`` frames;
@@ -51,6 +50,7 @@ import socket
 import struct
 import threading
 import time
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -58,7 +58,7 @@ from ..exceptions import ExecutionError, InvalidParameterError, WireFormatError
 from ..streaming.wire import check_frame_size, decode_frame, encode_frame
 from ..trajectory.piecewise import SegmentRecord
 from .actors import ActorCrash, ActorGroup, _PendingSlot, _revive_exception
-from .backends import ExecutionBackend, TaskOutcome, _isolated_call_remote
+from .backends import ExecutionBackend, TaskOutcome, _isolated_call
 
 __all__ = [
     "NodeActorGroup",
@@ -345,10 +345,10 @@ def _node_worker_main(
 class NodeActorGroup(ActorGroup):
     """Actor workers in child processes reached over a socket RPC.
 
-    Implements the same mailbox contract as :class:`ProcessActorGroup`
-    (FIFO per actor, events delivered before the triggering round trip
-    returns, crashes surfaced at the next barrier) with socket transport,
-    a token handshake, and heartbeat-based dead-worker detection.
+    Implements the mailbox contract of :mod:`repro.exec.actors` (FIFO per
+    actor, events delivered before the triggering round trip returns,
+    crashes surfaced at the next barrier) with socket transport, a token
+    handshake, and heartbeat-based dead-worker detection.
     """
 
     backend_name = "node"
@@ -720,7 +720,14 @@ class _NodeTaskRunner:
         if not (isinstance(message, tuple) and len(message) == 3 and message[0] == "run"):
             raise ExecutionError(f"unexpected task-runner message: {message!r}")
         _, index, task = message
-        return _isolated_call_remote(self._fn, (index, task))
+        outcome = _isolated_call(self._fn, index, task)
+        if outcome.failure is not None and outcome.failure.exception is not None:
+            # Arbitrary exceptions do not reliably pickle: strip the object
+            # before the outcome crosses the process boundary.  The formatted
+            # traceback stays — it is the only record of the original
+            # failure site the parent ever sees.
+            outcome = replace(outcome, failure=replace(outcome.failure, exception=None))
+        return outcome
 
 
 def _task_runner_factory(fn: Callable, emit: Callable[[object], None]) -> _NodeTaskRunner:
@@ -730,9 +737,8 @@ def _task_runner_factory(fn: Callable, emit: Callable[[object], None]) -> _NodeT
 class NodeBackend(ExecutionBackend):
     """A socket-connected worker process per slot (see :class:`NodeActorGroup`).
 
-    Functions, tasks, generic messages and results must be picklable, like
-    the process backend; the hub's point batches bypass pickle entirely via
-    the columnar wire frames.  ``heartbeat_timeout`` bounds how long a
+    Functions, tasks, generic messages and results must be picklable; the
+    hub's point batches bypass pickle entirely via the columnar wire frames.  ``heartbeat_timeout`` bounds how long a
     silent worker is trusted before the group fails it over.
     """
 
@@ -764,9 +770,7 @@ class NodeBackend(ExecutionBackend):
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_timeout = connect_timeout
 
-    def map_isolated(
-        self, fn: Callable, tasks: Sequence, *, chunksize: int | None = None
-    ) -> list[TaskOutcome]:
+    def map_isolated(self, fn: Callable, tasks: Sequence) -> list[TaskOutcome]:
         if not tasks:
             return []
         n_workers = self.effective_workers(len(tasks))

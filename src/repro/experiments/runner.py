@@ -114,7 +114,7 @@ def run_algorithm(
     """Run one registered algorithm over a fleet and collect the outputs.
 
     Dispatches through the unified fleet executor; ``workers > 1`` spreads
-    the fleet over a process pool.  A failing trajectory raises
+    the fleet over node worker processes.  A failing trajectory raises
     :class:`repro.exceptions.FleetExecutionError` (chained from the original
     exception when running serially) rather than the bare algorithm error.
     """

@@ -100,8 +100,8 @@ def evaluate_fleet(
     Either pass precomputed ``representations`` (index-aligned with
     ``trajectories``), or pass ``algorithm=`` to have the fleet compressed
     here through the unified API — ``workers``/``backend`` select the
-    :mod:`repro.exec` execution backend (``workers > 1`` fans out over a
-    process pool by default).
+    :mod:`repro.exec` execution backend (``workers > 1`` fans out over
+    node worker processes by default).
     """
     if epsilon is None:
         raise InvalidParameterError("evaluate_fleet requires an epsilon")

@@ -76,7 +76,7 @@ class Measurement:
     ``hub`` ingest, or ``fleet`` executor fan-out (defaulted so pre-hub
     reports keep loading)."""
     backend: str = "serial"
-    """Execution backend the cell ran on (``serial``/``thread``/``process``;
+    """Execution backend the cell ran on (``serial``/``thread``/``node``;
     defaulted so pre-backend reports keep loading)."""
     workers: int = 1
     """Worker count of the execution backend."""
@@ -96,11 +96,11 @@ class Measurement:
     pre-pyramid reports keep loading — for the other modes)."""
     bytes_shipped: int = 0
     """Wire-frame bytes the hub shipped to its shard workers during the
-    best repeat (``hub`` mode on the process/node backends; 0 elsewhere and
+    best repeat (``hub`` mode on the node backend; 0 elsewhere and
     for pre-wire reports)."""
     frames_per_second: float = 0.0
     """Wire frames the shard workers decoded per wall-clock second during
-    the best repeat (``hub`` mode on the process/node backends; 0.0
+    the best repeat (``hub`` mode on the node backend; 0.0
     elsewhere and for pre-wire reports)."""
 
     @property

@@ -20,14 +20,14 @@ These suites ship by default:
     Concurrent-ingest workloads: every case replays an interleaved
     multi-device point log through a :class:`repro.streaming.StreamHub`
     (one device per trajectory), measuring aggregate hub throughput across
-    the serial, thread and process execution backends.
+    the serial, thread and node execution backends.
 ``fleet``
     Backend-scaling cases for the fleet executor: the same fleet through
     ``Simplifier.run_many`` on every :mod:`repro.exec` backend.
 ``blocks``
     Block-ingest workloads: an idle-heavy fleet (dense dwell phases, the
     regime the SoA ``push_block`` path is built for) replayed through the
-    hub with a large ``block_size`` on the serial, thread and process
+    hub with a large ``block_size`` on the serial, thread and node
     backends — the suite that demonstrates the thread backend beating
     serial on hub ingest once shard workers do vectorized block work.
 ``store``
@@ -99,7 +99,7 @@ window baseline (OPW) and the paper's two contributions."""
 CASE_MODES = ("batch", "hub", "fleet", "store", "pyramid")
 """Valid values of :attr:`PerfCase.mode`."""
 
-CASE_BACKENDS = ("serial", "thread", "process", "node")
+CASE_BACKENDS = ("serial", "thread", "node")
 """Valid values of :attr:`PerfCase.backend` (declared cases are explicit —
 no ``auto`` — so a suite measures the same runtime everywhere)."""
 
@@ -289,15 +289,6 @@ _HUB = PerfSuite(
             workers=8,
         ),
         PerfCase(
-            "hub-256x400-p4",
-            "taxi",
-            n_trajectories=256,
-            points_per_trajectory=400,
-            mode="hub",
-            backend="process",
-            workers=4,
-        ),
-        PerfCase(
             "hub-256x400-n4",
             "taxi",
             n_trajectories=256,
@@ -328,12 +319,12 @@ _FLEET = PerfSuite(
             workers=4,
         ),
         PerfCase(
-            "fleet-16x2k-p4",
+            "fleet-16x2k-n4",
             "taxi",
             n_trajectories=16,
             points_per_trajectory=2_000,
             mode="fleet",
-            backend="process",
+            backend="node",
             workers=4,
         ),
     ),
@@ -359,12 +350,12 @@ _FULL = PerfSuite(
             workers=8,
         ),
         PerfCase(
-            "fleet-8x5k-p4",
+            "fleet-8x5k-n4",
             "taxi",
             n_trajectories=8,
             points_per_trajectory=5_000,
             mode="fleet",
-            backend="process",
+            backend="node",
             workers=4,
         ),
     ),
@@ -390,16 +381,6 @@ _BLOCKS = PerfSuite(
             points_per_trajectory=2_000,
             mode="hub",
             backend="thread",
-            workers=4,
-            block_size=4_096,
-        ),
-        PerfCase(
-            "blocks-16x2k-p4",
-            IDLE_FLEET_PROFILE,
-            n_trajectories=16,
-            points_per_trajectory=2_000,
-            mode="hub",
-            backend="process",
             workers=4,
             block_size=4_096,
         ),

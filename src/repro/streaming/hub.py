@@ -12,21 +12,22 @@ memory stays O(devices), not O(points).
 
 Shards execute on a pluggable :mod:`repro.exec` backend (``backend=``):
 ``"serial"`` keeps every shard inline in the caller (the reference
-semantics), while ``"thread"``, ``"process"`` and ``"node"`` drive the
-shards on real worker actors — per-shard FIFO mailboxes, single-owner shard
-state (no locks in the ingest path), segments and failures streamed back to
-the hub as events.  On the backends whose batches cross a serialization
-boundary (process pipes, node sockets) the shipped unit is a *columnar wire
-frame* (:mod:`repro.streaming.wire`): per-device little-endian ``float64``
-columns instead of pickled point tuples, decoded straight into the SoA
-blocks the vectorized ingest path consumes.  All backends are contractually
+semantics), while ``"thread"`` and ``"node"`` (alias ``"process"``) drive
+the shards on real worker actors — per-shard FIFO mailboxes, single-owner
+shard state (no locks in the ingest path), segments and failures streamed
+back to the hub as events.  Both ship one batch shape: per-device
+``(shard, device, PointBlock)`` groups (:func:`~.wire.group_records`).
+Threads receive the groups by reference; node workers, across a process
+boundary, receive them as one *columnar wire frame*
+(:mod:`repro.streaming.wire`) — per-device little-endian ``float64``
+columns instead of pickled point tuples.  All backends are contractually
 equivalent: the same device log produces byte-identical per-device segments
 and byte-identical checkpoints, a property the test suite locks in.
 
-Concurrent workers ingest in *blocks*: every ``push_many`` batch a worker
-receives (``block_size`` records, default :data:`DEFAULT_BLOCK_SIZE`) is
-regrouped into per-device :class:`~repro.trajectory.PointBlock` SoA blocks
-and fed through the simplifiers' ``push_block`` fast path, so shard workers
+Concurrent workers ingest in *blocks*: every ``push_many`` batch
+(``block_size`` records, default :data:`DEFAULT_BLOCK_SIZE`) is regrouped
+into per-device :class:`~repro.trajectory.PointBlock` SoA blocks and fed
+through the simplifiers' ``push_block`` fast path, so shard workers
 run the vectorized prefix kernels of :mod:`repro.geometry.kernels` instead
 of per-point Python — which both cuts the GIL-bound interpreter work per
 record and is what finally lets the thread backend beat serial on hub
@@ -61,16 +62,16 @@ Capabilities:
   segments — on any backend, and optionally onto a *different* shard count
   (devices re-shard through the same CRC32 map).
 
-Concurrency caveats (``thread``/``process``/``node`` backends only): ``push`` routes
+Concurrency caveats (``thread``/``node`` backends only): ``push`` routes
 asynchronously and returns ``[]`` (segments still reach the sinks);
 ``on_error="raise"`` surfaces a device failure at the next hub call instead
 of mid-push (``push_many`` drains its own batches so its failures surface
 on return; ``checkpoint()`` alone never raises for device failures, so a
 failed hub can always be checkpointed); counters (``points_pushed``,
 ``segments_emitted``) are authoritative after a synchronising call
-(``stats()``, ``checkpoint()``, ``finish_all()``).  Under the process and
-node backends, per-device stream objects live in worker processes and are
-not addressable — use ``stats()`` and ``checkpoint()``.
+(``stats()``, ``checkpoint()``, ``finish_all()``).  Under the node
+backend, per-device stream objects live in worker processes and are not
+addressable — use ``stats()`` and ``checkpoint()``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,13 @@ from ..trajectory.piecewise import SegmentRecord
 from ..trajectory.soa import PointBlock
 from .pyramid import PyramidSession, validate_epsilon_ladder
 from .sinks import SegmentSink, close_sink, flush_sink
-from .wire import POINT_BATCH_FORMATS, decode_frame, encode_frame, group_records
+from .wire import (
+    POINT_BATCH_FRAME,
+    PointBatch,
+    decode_frame,
+    encode_frame,
+    group_records,
+)
 
 __all__ = [
     "DeviceError",
@@ -124,8 +131,8 @@ Single-epsilon hubs keep stamping format 1 byte-identically, and
 DEFAULT_BLOCK_SIZE = 512
 """Default records buffered per actor before ``push_many`` flushes a batch.
 
-Each flushed batch is regrouped by the receiving shard worker into
-per-device :class:`~repro.trajectory.PointBlock` SoA blocks, so this is also
+Each flushed batch is regrouped into per-device
+:class:`~repro.trajectory.PointBlock` SoA blocks, so this is also
 the upper bound on the block sizes the vectorized ingest kernels see (a
 device's share of a batch is what actually forms its block).  Larger values
 amortise more per-record overhead and give the kernels longer runs at the
@@ -189,10 +196,10 @@ class HubStats:
     backend, whose reference path routes per point)."""
     bytes_shipped: int = 0
     """Encoded wire-frame bytes shipped to shard workers.  Non-zero only on
-    backends that cross a serialization boundary (process, node); the
-    thread backend shares memory and ships object references."""
+    the node backend, whose batches cross a process boundary; the thread
+    backend shares memory and ships object references."""
     frames_decoded: int = 0
-    """Wire frames decoded by the shard workers (process/node backends)."""
+    """Wire frames decoded by the shard workers (node backend)."""
     epsilons: list[float] | None = None
     """The hub's pyramid ladder, finest first (``None`` on single-epsilon hubs)."""
     segments_by_level: list[int] | None = None
@@ -373,7 +380,7 @@ class HubShard:
 
     A shard is owned by exactly one shard worker (a :mod:`repro.exec`
     actor); between barriers, only that worker touches the shard's state —
-    which is what lets the thread and process backends run shards
+    which is what lets the thread and node backends run shards
     concurrently without locks in the ingest path.
     """
 
@@ -427,7 +434,7 @@ class _ShardCore:
             index: HubShard(index) for index in shard_indices
         }
         self.frames_decoded = 0
-        """Columnar wire frames this core decoded (``push_frame`` path)."""
+        """Columnar wire frames this core decoded (:meth:`push_frame`)."""
 
     # ------------------------------------------------------------------ #
     # Message dispatch (the actor mailbox entry point)
@@ -436,8 +443,8 @@ class _ShardCore:
         kind = message[0]
         if kind == "push":
             return self.push(*message[1:])
-        if kind == "push_batch":
-            return self.push_batch(message[1])
+        if kind == "push_groups":
+            return self.push_groups(message[1])
         if kind == "push_frame":
             return self.push_frame(message[1])
         if kind == "register":
@@ -556,54 +563,33 @@ class _ShardCore:
                 self._emit_levels(device)
         return emitted, True
 
-    def push_batch(self, records: list[tuple[int, str, Point]]) -> None:
-        """Ingest one shipped batch, regrouped into per-device SoA blocks.
+    def push_groups(self, groups: PointBatch) -> None:
+        """Ingest one shipped batch of ``(shard, device, PointBlock)`` groups.
 
-        Arrival order *within* each device is preserved (which is all the
-        simplifier state depends on), so per-device segments, statistics and
-        checkpoints are byte-identical to per-point routing; only the
-        cross-device interleaving of sink deliveries changes, which the hub
-        has never guaranteed across backends.  Single-point groups skip the
-        block machinery.
+        The one batch entry point of every concurrent backend (see
+        :func:`~.wire.group_records`).  Arrival order *within* each device
+        is preserved (which is all the simplifier state depends on), so
+        per-device segments, statistics and checkpoints are byte-identical
+        to per-point routing; only the cross-device interleaving of sink
+        deliveries changes, which the hub has never guaranteed across
+        backends.  Single-point groups skip the block machinery.
         """
-        grouped: dict[str, list[Point]] = {}
-        shard_of: dict[str, int] = {}
-        for shard_i, device_id, point in records:
-            bucket = grouped.get(device_id)
-            if bucket is None:
-                grouped[device_id] = [point]
-                shard_of[device_id] = shard_i
-            else:
-                bucket.append(point)
-        for device_id, points in grouped.items():
-            if len(points) == 1:
-                self.push(shard_of[device_id], device_id, points[0])
-            else:
-                self.push_block(shard_of[device_id], device_id, PointBlock.from_points(points))
-        return None
-
-    def push_frame(self, body: bytes) -> None:
-        """Ingest one encoded point-batch wire frame (see :mod:`.wire`).
-
-        The columnar twin of :meth:`push_batch`: the parent already grouped
-        the records (same first-appearance device order, same within-device
-        arrival order) and shipped them as ``float64`` columns, so the
-        decoded blocks route through exactly the paths ``push_batch`` would
-        take — per-device segments, statistics and checkpoints stay
-        byte-identical to every other ingest route.
-        """
-        name, groups = decode_frame(body)
-        if name not in ("point-batch", "point-batch-jsonl"):
-            raise SimplificationError(
-                f"shard worker received a {name!r} frame on the ingest path"
-            )
-        self.frames_decoded += 1
         for shard_i, device_id, block in groups:
             if len(block) == 1:
                 self.push(shard_i, device_id, block.point(0))
             else:
                 self.push_block(shard_i, device_id, block)
         return None
+
+    def push_frame(self, body: bytes) -> None:
+        """Decode one point-batch wire frame, then :meth:`push_groups` it."""
+        name, groups = decode_frame(body)
+        if name != POINT_BATCH_FRAME:
+            raise SimplificationError(
+                f"shard worker received a {name!r} frame on the ingest path"
+            )
+        self.frames_decoded += 1
+        return self.push_groups(groups)
 
     def push_block(
         self, shard_i: int, device_id: str, block: PointBlock
@@ -850,7 +836,7 @@ class StreamHub:
         failure is recorded in :attr:`errors`.
     backend:
         Execution backend for the shards: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, ``"node"``, ``"auto"``, or a
+        ``"thread"``, ``"node"`` (alias ``"process"``), ``"auto"``, or a
         :class:`repro.exec.ExecutionBackend`.  See the module docstring for
         the concurrent-backend caveats.
     workers:
@@ -859,20 +845,12 @@ class StreamHub:
         the backend's own default (CPU count).
     block_size:
         Records buffered per shard worker before ``push_many`` ships a
-        batch (default :data:`DEFAULT_BLOCK_SIZE`).  Shard workers regroup
-        each batch into per-device SoA point blocks and drive the
+        batch (default :data:`DEFAULT_BLOCK_SIZE`).  Each batch is regrouped
+        into per-device SoA point blocks that drive the
         simplifiers' vectorized ``push_block`` path, so a device's share of
         a batch is the block size its kernels see.  Purely an execution
         knob: any value produces byte-identical per-device segments and
         checkpoints.
-    wire_format:
-        Encoding of the batches shipped to process/node shard workers:
-        ``"columnar"`` (default, little-endian ``float64`` columns per
-        device — the fast path) or ``"jsonl"`` (one JSON object per device
-        line, a human-readable debug fallback).  See
-        :mod:`repro.streaming.wire`.  Ignored by the in-process backends,
-        whose batches never cross a serialization boundary.  Any value
-        produces byte-identical per-device segments and checkpoints.
     """
 
     def __init__(
@@ -890,18 +868,12 @@ class StreamHub:
         backend: str | ExecutionBackend = "serial",
         workers: int | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        wire_format: str = "columnar",
     ) -> None:
         if shards < 1:
             raise InvalidParameterError(f"shards must be at least 1, got {shards}")
         if block_size < 1:
             raise InvalidParameterError(
                 f"block_size must be at least 1, got {block_size}"
-            )
-        if wire_format not in POINT_BATCH_FORMATS:
-            raise InvalidParameterError(
-                f"wire_format must be one of "
-                f"{tuple(POINT_BATCH_FORMATS)}, got {wire_format!r}"
             )
         if on_error not in _ON_ERROR_MODES:
             raise InvalidParameterError(
@@ -960,10 +932,9 @@ class StreamHub:
         self._backend = resolve_backend(backend, workers=workers)
         self._concurrent = self._backend.name != "serial"
         self._n_actors = min(self._backend.workers, shards) if self._concurrent else 1
-        # Backends whose batches cross a serialization boundary ship them as
-        # columnar wire frames; the in-process backends pass references.
-        self._use_wire = self._backend.name in ("process", "node")
-        self._wire_frame = POINT_BATCH_FORMATS[wire_format]
+        # Node workers live in other processes: batches cross as columnar
+        # wire frames and exceptions cannot travel with device errors.
+        self._remote = self._backend.name == "node"
         self.errors: list[DeviceError] = []
         self.points_pushed = 0
         self.segments_emitted = 0
@@ -980,7 +951,7 @@ class StreamHub:
             epsilon=self._default.epsilon,
             options=dict(self._default.opts),
             on_error=on_error,
-            carry_exceptions=self._backend.name not in ("process", "node"),
+            carry_exceptions=not self._remote,
             epsilons=pyramid_epsilons,
         )
         factories = [
@@ -1003,20 +974,19 @@ class StreamHub:
     def _ship_batch(self, actor: int, buffer: list[tuple[int, str, Point]]) -> None:
         """Hand one buffered ``push_many`` batch to its shard worker.
 
-        In-process backends pass the record list by reference; process and
-        node workers receive the batch as one columnar wire frame (grouped
-        into per-device ``float64`` columns by :func:`~.wire.group_records`,
-        replicating exactly the regrouping ``push_batch`` performs), so the
-        only pickled object on the hot path is a single ``bytes`` payload —
-        and the node transport ships even that raw.
+        The batch is regrouped into per-device blocks
+        (:func:`~.wire.group_records`).  Thread workers receive the groups
+        by reference; node workers receive them as one columnar wire frame,
+        which the node transport ships raw — no pickle on the hot path.
         """
         self.batches_shipped += 1
-        if self._use_wire:
-            frame = encode_frame(self._wire_frame, group_records(buffer))
+        groups = group_records(buffer)
+        if self._remote:
+            frame = encode_frame(POINT_BATCH_FRAME, groups)
             self.bytes_shipped += len(frame)
             self._group.tell(actor, ("push_frame", frame))
         else:
-            self._group.tell(actor, ("push_batch", buffer))
+            self._group.tell(actor, ("push_groups", groups))
 
     def _on_actor_event(self, actor: int, event: tuple) -> None:
         """Route one shard-worker event (serialised by the actor group)."""
@@ -1276,7 +1246,7 @@ class StreamHub:
     def close(self) -> None:
         """Shut down the shard workers and close the sinks (idempotent).
 
-        Serial hubs have nothing to release; thread/process hubs stop their
+        Serial hubs have nothing to release; thread/node hubs stop their
         workers — pending asynchronous pushes are processed first, so every
         in-flight segment reaches its sink before the sinks are flushed and
         closed.  In ``"raise"`` mode, a device failure that has not
@@ -1355,7 +1325,7 @@ class StreamHub:
         """The live shard objects, in shard order.
 
         Serial and thread backends share the caller's memory (the thread
-        backend barriers first); under the process backend shard state is
+        backend barriers first); under the node backend shard state is
         not addressable and this raises :class:`SimplificationError`.
         """
         return self._local_shards()
@@ -1373,7 +1343,7 @@ class StreamHub:
     def devices(self) -> Iterator[DeviceStream]:
         """Iterate over every device stream (shard order, then insertion).
 
-        Not available under the process backend (see :attr:`shards`).
+        Not available under the node backend (see :attr:`shards`).
         """
         for shard in self._local_shards():
             yield from shard.devices.values()
@@ -1386,7 +1356,7 @@ class StreamHub:
         InvalidParameterError
             If the device is not registered.
         SimplificationError
-            Under the process backend (stream objects live in workers).
+            Under the node backend (stream objects live in workers).
         ExecutionError
             When the hub has been closed (any backend).
         """
@@ -1408,7 +1378,7 @@ class StreamHub:
         """Open a stream for ``device_id``, optionally overriding defaults.
 
         Returns the live :class:`DeviceStream` on in-process backends;
-        ``None`` under the process and node backends (the stream lives in a
+        ``None`` under the node backend (the stream lives in a
         worker).  Unlike the implicit registration on first push, this is
         one round trip to the shard worker on every concurrent backend.
 
@@ -1484,9 +1454,9 @@ class StreamHub:
 
         Returns the number of segments emitted on the serial backend;
         concurrent backends ingest asynchronously (records are shipped to
-        the shard workers in ``block_size``-record batches, which each
-        worker regroups into per-device SoA blocks for the simplifiers'
-        vectorized ``push_block`` path) and return ``0`` — read
+        the shard workers in ``block_size``-record batches, regrouped into
+        per-device SoA blocks for the simplifiers' vectorized
+        ``push_block`` path) and return ``0`` — read
         ``stats().segments_emitted`` after a synchronising call instead.
         A device seen for the first time costs no round trip: its
         registration rides the shard worker's ordered mailbox ahead of its

@@ -1,14 +1,14 @@
 """Columnar wire codec for the hub's shipped batches and control frames.
 
-The concurrent hub ships ingest work to its shard workers as batches.  On
-the in-process backends a batch is just a Python list; on the process and
-node backends it has to cross a serialization boundary, and pickling a
-``list[tuple[int, str, Point]]`` pays per-point object overhead on the
-hottest path in the system.  This module makes :class:`PointBlock` the wire
-unit instead: a *frame* carries each device's points as three little-endian
-``float64`` columns plus the device id, so encoding is three ``tobytes``
-calls per device and decoding lands directly in the SoA blocks the
-simplifiers' vectorized ``push_block`` path consumes.
+The concurrent hub ships ingest work to its shard workers as batches of
+per-device :class:`PointBlock` groups (:func:`group_records`).  The thread
+backend hands the groups over by reference; the node backend has to cross
+a process boundary, and pickling a ``list[tuple[int, str, Point]]`` pays
+per-point object overhead on the hottest path in the system.  A *frame*
+instead carries each device's points as three little-endian ``float64``
+columns plus the device id, so encoding is three ``tobytes`` calls per
+device and decoding lands directly in the SoA blocks the simplifiers'
+vectorized ``push_block`` path consumes.
 
 Frame model
 -----------
@@ -18,12 +18,12 @@ On a byte stream (the node backend's sockets) frames travel length-prefixed:
 A body longer than :data:`MAX_FRAME_BYTES` is refused on both sides, so a
 corrupt or forged prefix fails loudly instead of stalling the reader on
 gigabytes that never arrive.
-Inside an in-process message (the process backend's pipes) the body travels
-bare, because the pipe already frames messages.
 
 Every frame kind is registered in :data:`FRAME_TYPES` with an explicit
 ``encode``/``decode`` function pair — the codec never falls back to pickle,
-and rule RPA006 machine-checks both properties.  Registered kinds:
+and rule RPA006 machine-checks both properties.  Every malformed body
+raises :class:`~repro.exceptions.WireFormatError` and nothing else.
+Registered kinds:
 
 ====  ===================  ==============================================
 kind  name                 payload
@@ -31,8 +31,7 @@ kind  name                 payload
 0x01  json                 any JSON value (handshakes, control replies)
 0x02  point-batch          ``list[(shard, device_id, PointBlock)]``,
                            columnar ``<f8`` x/y/t columns per device
-0x03  point-batch-jsonl    same payload, one JSON object per line —
-                           human-readable debug fallback
+0x03  (retired)            was the JSONL debug twin of point-batch
 0x04  segment-batch        one ``("segments" | "level_segments", device,
                            level, [SegmentRecord, ...])`` event, columnar
 0x05  blob                 opaque ``bytes`` (the transport layer's escape
@@ -41,8 +40,7 @@ kind  name                 payload
 
 Determinism contract: encoding is a pure function of the payload (stable
 key order, no clocks, no ambient state), and every decode reconstructs the
-payload bit for bit — ``float64`` columns round-trip exactly through both
-the binary and the JSONL form (JSON floats round-trip via ``repr``).
+payload bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "JSON_FRAME",
     "POINT_BATCH_FRAME",
-    "POINT_BATCH_JSONL_FRAME",
     "SEGMENT_BATCH_FRAME",
     "BLOB_FRAME",
     "POINT_BATCH_FORMATS",
@@ -82,8 +79,6 @@ __all__ = [
     "decode_json",
     "encode_point_batch",
     "decode_point_batch",
-    "encode_point_batch_jsonl",
-    "decode_point_batch_jsonl",
     "encode_segment_batch",
     "decode_segment_batch",
     "encode_blob",
@@ -103,7 +98,7 @@ few kilobytes per device — yet small enough that a garbage length prefix
 is rejected before the reader waits for, or allocates, its body."""
 
 PointBatch = list[tuple[int, str, PointBlock]]
-"""Payload type of the point-batch frames: per-device SoA groups, each
+"""Payload type of the point-batch frame: per-device SoA groups, each
 tagged with the shard index that owns the device."""
 
 SegmentBatch = tuple[str, str, int, list[SegmentRecord]]
@@ -262,7 +257,9 @@ def decode_json(body: bytes) -> Any:
     """Inverse of :func:`encode_json`."""
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError covers pathologically deep nesting.
         raise WireFormatError(f"malformed json frame: {error}") from error
 
 
@@ -273,9 +270,10 @@ def group_records(records: Iterable[tuple[int, str, Point]]) -> PointBatch:
     """Group shipped ``(shard, device, point)`` records into SoA blocks.
 
     First-appearance device order and within-device arrival order are both
-    preserved — the exact regrouping the shard workers' ``push_batch`` has
-    always performed, now done once on the encoding side so the columns can
-    go straight onto the wire.
+    preserved, which is all per-device simplifier state depends on.  This
+    is the one batch shape every concurrent backend ships: the thread
+    backend hands the groups to its shard workers by reference, the node
+    backend encodes them as a ``point-batch`` frame.
     """
     grouped: dict[str, list[Point]] = {}
     shard_of: dict[str, int] = {}
@@ -309,6 +307,13 @@ def encode_point_batch(payload: PointBatch) -> bytes:
     return b"".join(chunks)
 
 
+def _decode_device_id(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise WireFormatError(f"device id is not valid utf-8: {error}") from error
+
+
 def _decode_column(body: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
     end = _read_exact(body, offset, 8 * count, "a float64 column")
     column = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
@@ -327,7 +332,7 @@ def decode_point_batch(body: bytes) -> PointBatch:
         shard_i, ident_len, n_points = _GROUP_HEADER.unpack_from(body, offset)
         offset = end
         end = _read_exact(body, offset, ident_len, "a device id")
-        device_id = body[offset:end].decode("utf-8")
+        device_id = _decode_device_id(body[offset:end])
         offset = end
         xs, offset = _decode_column(body, offset, n_points)
         ys, offset = _decode_column(body, offset, n_points)
@@ -336,54 +341,6 @@ def decode_point_batch(body: bytes) -> PointBatch:
     if offset != len(body):
         raise WireFormatError(
             f"point-batch frame has {len(body) - offset} trailing bytes"
-        )
-    return groups
-
-
-def encode_point_batch_jsonl(payload: PointBatch) -> bytes:
-    """Debug fallback: the point-batch payload as one JSON object per line.
-
-    Byte-for-byte equivalent after a round trip (floats survive JSON via
-    ``repr``), just human-readable — switch a hub to it with
-    ``wire_format="jsonl"`` when eyeballing shipped traffic.
-    """
-    lines = []
-    for shard_i, device_id, block in payload:
-        points = [
-            [float(block.xs[i]), float(block.ys[i]), float(block.ts[i])]
-            for i in range(len(block))
-        ]
-        lines.append(
-            json.dumps(
-                {"device": device_id, "points": points, "shard": shard_i},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines).encode("utf-8")
-
-
-def decode_point_batch_jsonl(body: bytes) -> PointBatch:
-    """Inverse of :func:`encode_point_batch_jsonl`."""
-    groups: PointBatch = []
-    if not body:
-        return groups
-    for line in body.decode("utf-8").split("\n"):
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise WireFormatError(f"malformed point-batch-jsonl line: {error}") from error
-        points = entry["points"]
-        groups.append(
-            (
-                int(entry["shard"]),
-                str(entry["device"]),
-                PointBlock(
-                    np.array([p[0] for p in points], dtype=float),
-                    np.array([p[1] for p in points], dtype=float),
-                    np.array([p[2] for p in points], dtype=float),
-                ),
-            )
         )
     return groups
 
@@ -436,7 +393,7 @@ def decode_segment_batch(body: bytes) -> SegmentBatch:
     if tag_index >= len(_SEGMENT_EVENT_TAGS):
         raise WireFormatError(f"unknown segment-batch event tag {tag_index}")
     end = _read_exact(body, offset, ident_len, "a device id")
-    device_id = body[offset:end].decode("utf-8")
+    device_id = _decode_device_id(body[offset:end])
     offset = end
     records = []
     for _ in range(n_records):
@@ -495,16 +452,10 @@ JSON_FRAME = register_frame(0x01, "json", encode_json, decode_json).name
 POINT_BATCH_FRAME = register_frame(
     0x02, "point-batch", encode_point_batch, decode_point_batch
 ).name
-POINT_BATCH_JSONL_FRAME = register_frame(
-    0x03, "point-batch-jsonl", encode_point_batch_jsonl, decode_point_batch_jsonl
-).name
 SEGMENT_BATCH_FRAME = register_frame(
     0x04, "segment-batch", encode_segment_batch, decode_segment_batch
 ).name
 BLOB_FRAME = register_frame(0x05, "blob", encode_blob, decode_blob).name
 
-POINT_BATCH_FORMATS = {
-    "columnar": POINT_BATCH_FRAME,
-    "jsonl": POINT_BATCH_JSONL_FRAME,
-}
-"""Hub ``wire_format`` knob values and the point-batch frame each selects."""
+POINT_BATCH_FORMATS = {"columnar": POINT_BATCH_FRAME}
+"""The point-batch encodings by name; columnar is the only one."""

@@ -74,7 +74,7 @@ class TestEffectiveBackendReporting:
 
     def test_worker_count_clamped_to_fleet_size(self, fleet):
         result = Simplifier("operb", EPSILON).run_many(fleet, workers=100)
-        assert result.backend == "process"
+        assert result.backend == "node"
         assert result.workers == len(fleet)
 
     def test_explicit_thread_backend_reported(self, fleet):

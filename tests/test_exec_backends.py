@@ -11,18 +11,17 @@ from repro.exceptions import ExecutionError, InvalidParameterError
 from repro.exec import (
     BACKEND_NAMES,
     NodeBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
 )
 
-ALL_BACKENDS = [SerialBackend(), ThreadBackend(3), ProcessBackend(3), NodeBackend(3)]
+ALL_BACKENDS = [SerialBackend(), ThreadBackend(3), NodeBackend(3)]
 BACKEND_IDS = [backend.name for backend in ALL_BACKENDS]
 
 
 def _square_or_fail(x: int) -> int:
-    """Module-level task body (picklable for the process backend)."""
+    """Module-level task body (picklable for the node backend)."""
     if x == 3:
         raise ValueError(f"bad task {x}")
     return x * x
@@ -62,18 +61,27 @@ class TestResolveBackend:
     def test_names_resolve_to_matching_backends(self):
         assert resolve_backend("serial").name == "serial"
         assert resolve_backend("thread", workers=5).workers == 5
-        assert resolve_backend("process", workers=2).name == "process"
         node = resolve_backend("node", workers=3)
         assert node.name == "node"
         assert node.workers == 3
         assert isinstance(node, NodeBackend)
         assert "node" in BACKEND_NAMES
 
-    def test_auto_picks_serial_for_one_worker_else_process(self):
+    def test_auto_picks_serial_for_one_worker_else_node(self):
         assert resolve_backend("auto").name == "serial"
         assert resolve_backend("auto", workers=1).name == "serial"
-        assert resolve_backend("auto", workers=4).name == "process"
-        assert resolve_backend("auto", workers=4).workers == 4
+        auto = resolve_backend("auto", workers=4)
+        assert isinstance(auto, NodeBackend)
+        assert auto.workers == 4
+
+    def test_process_is_an_alias_of_node(self):
+        # Scripts and checkpoint restores written against the retired pipe
+        # runtime keep working: "process" is still an accepted spelling.
+        assert "process" in BACKEND_NAMES
+        backend = resolve_backend("process", workers=2)
+        assert isinstance(backend, NodeBackend)
+        assert backend.name == "node"
+        assert backend.workers == 2
 
     def test_backend_instances_pass_through(self):
         backend = ThreadBackend(2)
@@ -144,14 +152,14 @@ class TestMapIsolated:
             outcome = backend.map_isolated(_square_or_fail, [3])[0]
             assert isinstance(outcome.failure.exception, ValueError)
 
-    def test_process_backend_strips_the_exception_object(self):
-        outcome = ProcessBackend(2).map_isolated(_square_or_fail, [3])[0]
+    def test_node_backend_strips_the_exception_object(self):
+        outcome = NodeBackend(2).map_isolated(_square_or_fail, [3])[0]
         assert outcome.failure.exception is None
         assert outcome.failure.error_type == "ValueError"
 
     def test_effective_workers_clamped_to_task_count(self):
         assert ThreadBackend(8).effective_workers(3) == 3
-        assert ProcessBackend(2).effective_workers(100) == 2
+        assert NodeBackend(2).effective_workers(100) == 2
         assert SerialBackend().effective_workers(100) == 1
 
 
@@ -218,8 +226,8 @@ class TestActorGroups:
         finally:
             group.close()
 
-    def test_process_backend_revives_repro_exceptions_by_name(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+    def test_node_backend_revives_repro_exceptions_by_name(self):
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             with pytest.raises(InvalidParameterError, match="revive me"):
                 group.ask(0, ("invalid-parameter",))
@@ -239,11 +247,11 @@ class TestActorGroups:
         finally:
             thread.close()
 
-        process = ProcessBackend(1).start_actors([partial(_make_accumulator, 3)])
+        node = NodeBackend(1).start_actors([partial(_make_accumulator, 3)])
         try:
-            assert process.local_handlers is None
+            assert node.local_handlers is None
         finally:
-            process.close()
+            node.close()
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=BACKEND_IDS)
     def test_closed_groups_reject_messages(self, backend):
@@ -264,8 +272,8 @@ class TestActorGroups:
 
     @pytest.mark.parametrize(
         "backend",
-        [ThreadBackend(1), ProcessBackend(1), NodeBackend(1)],
-        ids=["thread", "process", "node"],
+        [ThreadBackend(1), NodeBackend(1)],
+        ids=["thread", "node"],
     )
     def test_factory_failure_surfaces_without_deadlocking(self, backend):
         group = backend.start_actors([partial(_make_broken_handler, 1)])
@@ -281,7 +289,7 @@ class TestActorGroups:
                 pass
 
     def test_dead_worker_process_fails_asks_instead_of_hanging(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             group._processes[0].terminate()
             group._processes[0].join(timeout=10.0)
@@ -294,11 +302,11 @@ class TestActorGroups:
             except ExecutionError:
                 pass
 
-    def test_process_close_drains_buffered_events(self):
+    def test_node_close_drains_buffered_events(self):
         # close() without a prior barrier must still deliver every event the
-        # workers emitted — segments buffered in the pipes are data.
+        # workers emitted — segments buffered in the sockets are data.
         events: list[object] = []
-        group = ProcessBackend(4).start_actors(
+        group = NodeBackend(4).start_actors(
             [partial(_make_accumulator, 0)] * 4,
             on_event=lambda actor, event: events.append(event),
         )
@@ -309,7 +317,7 @@ class TestActorGroups:
         assert len(events) == 1200
 
     def test_unpicklable_ask_message_does_not_leak_pending_slots(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             # Local functions fail to pickle with AttributeError; other
             # unpicklables raise PicklingError or TypeError.
@@ -321,7 +329,7 @@ class TestActorGroups:
             group.close()
 
     def test_unpicklable_reply_is_reported_not_fatal(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             with pytest.raises(ExecutionError, match="not sendable"):
                 group.ask(0, ("unpicklable",))

@@ -69,14 +69,13 @@ class TestSuites:
         assert {case.backend for case in SUITES["hub"].cases} == {
             "serial",
             "thread",
-            "process",
             "node",
         }
         assert all(case.mode == "fleet" for case in SUITES["fleet"].cases)
         assert {case.backend for case in SUITES["fleet"].cases} == {
             "serial",
             "thread",
-            "process",
+            "node",
         }
 
     def test_gated_quick_suite_covers_the_node_backend(self):
@@ -220,12 +219,12 @@ TINY_BACKEND_SUITE = PerfSuite(
             workers=2,
         ),
         PerfCase(
-            "fleet-tiny-p2",
+            "fleet-tiny-n2",
             "taxi",
             n_trajectories=4,
             points_per_trajectory=60,
             mode="fleet",
-            backend="process",
+            backend="node",
             workers=2,
         ),
     ),
@@ -249,9 +248,9 @@ class TestBackendMeasurements:
         assert hub_cell.backend == "thread"
         assert hub_cell.workers == 2
         assert hub_cell.segments > 0 and hub_cell.points_per_second > 0.0
-        fleet_cell = by_key["fleet-tiny-p2:operb@processx2"]
+        fleet_cell = by_key["fleet-tiny-n2:operb@nodex2"]
         assert fleet_cell.mode == "fleet"
-        assert fleet_cell.backend == "process"
+        assert fleet_cell.backend == "node"
         assert fleet_cell.workers == 2
         assert 0.0 < fleet_cell.compression_ratio <= 1.0
         # The backend survives the JSON round trip.
@@ -260,7 +259,7 @@ class TestBackendMeasurements:
         payload = json.loads((tmp_path / "backends.json").read_text())
         assert {entry["backend"] for entry in payload["results"]} == {
             "thread",
-            "process",
+            "node",
         }
 
     def test_fleet_mode_matches_batch_segments(self):
@@ -326,7 +325,6 @@ class TestBackendMeasurements:
         assert {case.backend for case in suite.cases} == {
             "serial",
             "thread",
-            "process",
             "node",
         }
         assert all(case.mode == "hub" for case in suite.cases)

@@ -187,7 +187,7 @@ class TestHubBlockEquivalence:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         algorithm=st.sampled_from(("operb", "operb-a", "fbqs", "dead-reckoning")),
         block_size=st.sampled_from((1, 37, 512, 4096)),
-        backend=st.sampled_from(("thread", "process", "node")),
+        backend=st.sampled_from(("thread", "node")),
     )
     def test_blocked_hub_matches_serial_per_point(
         self, seed, algorithm, block_size, backend
@@ -308,7 +308,7 @@ class TestHubBlockFailureAccounting:
         yield "exploding-block"
         unregister_algorithm("exploding-block")
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "node"])
+    @pytest.mark.parametrize("backend", ["thread", "node"])
     def test_mid_block_failure_accounting_matches_serial(self, exploding, backend):
         """A device that dies mid-block drops exactly the points the serial
         per-point reference would drop, and checkpoints byte-identically."""

@@ -1,7 +1,7 @@
 """Wire-codec contract tests: explicit layouts, exact round-trips, no slack.
 
-The wire module is what the process and node backends push through pipes
-and sockets, so its invariants are the transport half of the byte-identical
+The wire module is what the node backend pushes through its sockets, so
+its invariants are the transport half of the byte-identical
 contract: every registered frame round-trips its payload bit for bit,
 encoding is a pure function of the payload (same payload → same bytes),
 and every malformed input fails loudly with :class:`WireFormatError`
@@ -11,7 +11,6 @@ instead of mis-decoding.
 from __future__ import annotations
 
 import io
-import json
 import struct
 
 import numpy as np
@@ -90,6 +89,27 @@ def point_batches(draw):
     return batch
 
 
+HEADER_OF = {
+    frame_type.name: struct.pack("<2sBB", wire.WIRE_MAGIC, wire.WIRE_VERSION, kind)
+    for kind, frame_type in FRAME_TYPES.items()
+}
+"""A valid frame header for every registered kind, by frame name."""
+
+SAMPLE_FRAMES = [
+    encode_frame("json", {"index": 3, "secret": "ab", "nested": [1.5, None]}),
+    encode_frame(
+        "point-batch",
+        [
+            (0, "dev-α", block((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))),
+            (5, "b", block((7.0, 8.0, 9.0))),
+        ],
+    ),
+    encode_frame("segment-batch", ("level_segments", "dev-α", 2, [record(), record()])),
+    encode_frame("blob", b"\x00\x01opaque"),
+]
+"""One valid frame per registered kind, the seeds of the mutation fuzz."""
+
+
 def assert_batches_equal(left, right):
     assert len(left) == len(right)
     for (shard_a, device_a, block_a), (shard_b, device_b, block_b) in zip(left, right):
@@ -138,7 +158,7 @@ class TestEnvelope:
 
 class TestRegistry:
     def test_every_registered_kind_has_a_codec_pair(self):
-        assert sorted(FRAME_TYPES) == [0x01, 0x02, 0x03, 0x04, 0x05]
+        assert sorted(FRAME_TYPES) == [0x01, 0x02, 0x04, 0x05]  # 0x03 retired
         for frame_type in FRAME_TYPES.values():
             assert callable(frame_type.encode)
             assert callable(frame_type.decode)
@@ -160,10 +180,7 @@ class TestRegistry:
             register_frame(256, "wide", wire.encode_json, wire.decode_json)
 
     def test_hub_formats_map_onto_point_batch_frames(self):
-        assert POINT_BATCH_FORMATS == {
-            "columnar": "point-batch",
-            "jsonl": "point-batch-jsonl",
-        }
+        assert POINT_BATCH_FORMATS == {"columnar": "point-batch"}
 
 
 class TestStreamFraming:
@@ -216,8 +233,13 @@ class TestJsonFrame:
         with pytest.raises(WireFormatError, match="not JSON-encodable"):
             encode_frame("json", object())
 
-    def test_malformed_body_is_rejected(self):
-        body = encode_frame("json", None)[:4] + b"{nope"
+    @pytest.mark.parametrize(
+        "payload",
+        [b"{nope", b"9" * 5_000, b"[" * 100_000],
+        ids=["bad-syntax", "over-long-integer", "deep-nesting"],
+    )
+    def test_malformed_body_is_rejected(self, payload):
+        body = encode_frame("json", None)[:4] + payload
         with pytest.raises(WireFormatError, match="malformed json frame"):
             decode_frame(body)
 
@@ -279,11 +301,10 @@ class TestGroupRecords:
 
 class TestPointBatchFrames:
     @settings(**COMMON_SETTINGS)
-    @given(point_batches(), st.sampled_from(sorted(POINT_BATCH_FORMATS)))
-    def test_both_formats_round_trip_exactly(self, batch, fmt):
-        frame = POINT_BATCH_FORMATS[fmt]
-        name, decoded = decode_frame(encode_frame(frame, batch))
-        assert name == frame
+    @given(point_batches())
+    def test_point_batch_round_trips_exactly(self, batch):
+        name, decoded = decode_frame(encode_frame("point-batch", batch))
+        assert name == "point-batch"
         assert_batches_equal(decoded, batch)
 
     def test_decoded_columns_are_writable_copies(self):
@@ -292,9 +313,8 @@ class TestPointBatchFrames:
         decoded[0][2].xs[0] = 99.0  # must not raise: not a frozen wire view
         assert decoded[0][2].xs[0] == 99.0
 
-    def test_empty_batch_round_trips_in_both_formats(self):
-        for frame in POINT_BATCH_FORMATS.values():
-            assert decode_frame(encode_frame(frame, [])) == (frame, [])
+    def test_empty_batch_round_trips(self):
+        assert decode_frame(encode_frame("point-batch", [])) == ("point-batch", [])
 
     def test_truncated_column_is_rejected(self):
         body = encode_frame("point-batch", [(0, "d", block((1.0, 2.0, 3.0)))])
@@ -311,19 +331,16 @@ class TestPointBatchFrames:
         with pytest.raises(WireFormatError, match="device id too long"):
             encode_frame("point-batch", batch)
 
-    def test_malformed_jsonl_line_is_rejected(self):
-        body = encode_frame("point-batch-jsonl", [])[:4] + b"{broken"
-        with pytest.raises(WireFormatError, match="malformed point-batch-jsonl"):
+    def test_device_id_that_is_not_utf8_is_rejected(self):
+        body = (
+            HEADER_OF["point-batch"]
+            + struct.pack("<I", 1)
+            + struct.pack("<IHI", 0, 2, 1)
+            + b"\xff\xfe"
+            + b"\x00" * 24
+        )
+        with pytest.raises(WireFormatError, match="not valid utf-8"):
             decode_frame(body)
-
-    def test_jsonl_payload_is_line_per_device(self):
-        batch = [
-            (3, "a", block((1.0, 2.0, 3.0))),
-            (1, "b", block((4.0, 5.0, 6.0))),
-        ]
-        lines = encode_frame("point-batch-jsonl", batch)[4:].decode("utf-8").split("\n")
-        assert [json.loads(line)["device"] for line in lines] == ["a", "b"]
-        assert [json.loads(line)["shard"] for line in lines] == [3, 1]
 
 
 class TestSegmentBatchFrame:
@@ -366,6 +383,11 @@ class TestSegmentBatchFrame:
         with pytest.raises(WireFormatError, match="trailing bytes"):
             decode_frame(body + b"\x00")
 
+    def test_device_id_that_is_not_utf8_is_rejected(self):
+        body = HEADER_OF["segment-batch"] + struct.pack("<BHII", 0, 2, 0, 0) + b"\xff\xfe"
+        with pytest.raises(WireFormatError, match="not valid utf-8"):
+            decode_frame(body)
+
 
 class TestBlobFrame:
     def test_bytes_pass_through_unchanged(self):
@@ -379,3 +401,32 @@ class TestBlobFrame:
     def test_non_bytes_payload_is_rejected(self):
         with pytest.raises(WireFormatError, match="blob frames carry bytes"):
             encode_frame("blob", "not bytes")
+
+
+class TestDecodeFuzz:
+    """Every byte string behind a valid header either decodes or raises
+    :class:`WireFormatError` — never another exception type."""
+
+    @staticmethod
+    def decode_or_wire_error(body: bytes) -> None:
+        try:
+            decode_frame(body)
+        except WireFormatError:
+            pass
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(HEADER_OF)), st.binary(max_size=96))
+    def test_arbitrary_bodies_decode_or_raise_wire_errors(self, name, payload):
+        self.decode_or_wire_error(HEADER_OF[name] + payload)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(SAMPLE_FRAMES),
+        st.lists(st.tuples(st.integers(min_value=4), st.integers(0, 255)), max_size=4),
+        st.integers(min_value=4),
+    )
+    def test_mutated_valid_frames_decode_or_raise_wire_errors(self, frame, flips, cut):
+        body = bytearray(frame)
+        for position, value in flips:
+            body[4 + position % (len(body) - 4)] = value  # keep the header
+        self.decode_or_wire_error(bytes(body[: max(4, cut % (len(body) + 1))]))
