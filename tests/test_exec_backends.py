@@ -16,8 +16,16 @@ from repro.exec import (
     resolve_backend,
 )
 
-ALL_BACKENDS = [SerialBackend(), ThreadBackend(3), NodeBackend(3)]
-BACKEND_IDS = [backend.name for backend in ALL_BACKENDS]
+# "process" is kept as an accepted spelling of the node runtime, so every
+# contract is also run through that alias (its id is the spelling, since the
+# backend it builds reports itself as "node").
+ALL_BACKENDS = [
+    SerialBackend(),
+    ThreadBackend(3),
+    resolve_backend("process", workers=3),
+    NodeBackend(3),
+]
+BACKEND_IDS = ["serial", "thread", "process", "node"]
 
 
 def _square_or_fail(x: int) -> int:
@@ -272,8 +280,8 @@ class TestActorGroups:
 
     @pytest.mark.parametrize(
         "backend",
-        [ThreadBackend(1), NodeBackend(1)],
-        ids=["thread", "node"],
+        [ThreadBackend(1), resolve_backend("process", workers=1), NodeBackend(1)],
+        ids=["thread", "process", "node"],
     )
     def test_factory_failure_surfaces_without_deadlocking(self, backend):
         group = backend.start_actors([partial(_make_broken_handler, 1)])

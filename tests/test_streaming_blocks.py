@@ -308,7 +308,7 @@ class TestHubBlockFailureAccounting:
         yield "exploding-block"
         unregister_algorithm("exploding-block")
 
-    @pytest.mark.parametrize("backend", ["thread", "node"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "node"])
     def test_mid_block_failure_accounting_matches_serial(self, exploding, backend):
         """A device that dies mid-block drops exactly the points the serial
         per-point reference would drop, and checkpoints byte-identically."""
