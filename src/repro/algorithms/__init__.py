@@ -1,4 +1,9 @@
-"""Line-simplification baselines and the shared algorithm registry."""
+"""Line-simplification baselines and the streaming simplifier protocol.
+
+The algorithms themselves are registered in :mod:`repro.api`; look them up
+with ``repro.api.get_descriptor(name)`` and run them through
+``repro.api.Simplifier``.
+"""
 
 from .base import SimplificationFunction, StreamingSimplifier, validate_epsilon
 from .bqs import BoundedQuadrantWindow, QuadrantBound, bqs
@@ -6,11 +11,9 @@ from .dead_reckoning import DeadReckoningSimplifier, dead_reckoning
 from .douglas_peucker import douglas_peucker, douglas_peucker_sed, dp_retained_indices
 from .fbqs import FBQSSimplifier, fbqs
 from .opw import opw, opw_tr
-from .registry import ALGORITHMS, get_algorithm, list_algorithms, simplify
 from .uniform import uniform_sampling
 
 __all__ = [
-    "ALGORITHMS",
     "BoundedQuadrantWindow",
     "DeadReckoningSimplifier",
     "FBQSSimplifier",
@@ -23,11 +26,8 @@ __all__ = [
     "douglas_peucker_sed",
     "dp_retained_indices",
     "fbqs",
-    "get_algorithm",
-    "list_algorithms",
     "opw",
     "opw_tr",
-    "simplify",
     "uniform_sampling",
     "validate_epsilon",
 ]

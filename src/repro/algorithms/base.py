@@ -11,25 +11,25 @@ algorithms additionally implement the :class:`StreamingSimplifier` protocol
 Block ingest
 ------------
 Streaming simplifiers may additionally implement the *batched* ingest
-protocol over :class:`~repro.trajectory.soa.PointBlock`:
-
-``push_block(block) -> list[SegmentRecord]``
-    Feed a whole SoA block of points; byte-identical (segments, statistics,
-    snapshots) to pushing the same points one at a time, but with the inner
-    loops running the vectorized prefix kernels of
-    :mod:`repro.geometry.kernels`.
+protocol over :class:`~repro.trajectory.soa.PointBlock` — one method:
 
 ``push_block_steps(block) -> Iterator[tuple[int, list[SegmentRecord]]]``
-    The traced form the streaming hub consumes: each ``(count, segments)``
-    step means "``count`` further points were ingested and the last of them
-    emitted ``segments``".  Driving the steps reproduces the exact per-push
-    emission positions, which is what keeps per-device lag accounting (and
-    therefore hub checkpoints) byte-identical to per-point ingest.
+    Feed a whole SoA block of points with the inner loops running the
+    vectorized prefix kernels of :mod:`repro.geometry.kernels`.  Each
+    ``(count, segments)`` step means "``count`` further points were
+    ingested and the last of them emitted ``segments``".  Driving the steps
+    is byte-identical (segments, statistics, snapshots) to pushing the same
+    points one at a time and reproduces the exact per-push emission
+    positions, which is what keeps per-device lag accounting (and therefore
+    hub checkpoints) byte-identical to per-point ingest.
 
-:func:`iter_block_steps` bridges the two worlds: it uses a simplifier's
-native ``push_block_steps`` when present and otherwise falls back to a
-correct (if slow) per-point loop, so *every* streaming simplifier — including
-third-party ones that predate the protocol — accepts blocks.
+:func:`iter_block_steps` is how every caller drives it: it uses a
+simplifier's native ``push_block_steps`` when present and otherwise falls
+back to a correct (if slow) per-point loop, so *every* streaming simplifier
+— including third-party ones without the protocol — accepts blocks.  The
+flattened ``push_block(block) -> list[SegmentRecord]`` lives on the
+sessions (:class:`repro.api.StreamSession`,
+:class:`repro.streaming.PyramidSession`), not on the simplifiers.
 """
 
 from __future__ import annotations

@@ -98,8 +98,10 @@ class DeadReckoningSimplifier:
         self._previous = point
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
+    def push_block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Feed a whole SoA block of points as traced ``(count, segments)`` steps.
 
         Between transmissions the sender state (last kept point, velocity)
         is frozen, so a whole run of within-bound fixes is detected with one
@@ -107,15 +109,6 @@ class DeadReckoningSimplifier:
         transmission take the scalar :meth:`push`.  Byte-identical to
         per-point ingest.
         """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block` (see ``OPERBSimplifier``)."""
         if self._finished:
             raise SimplificationError("push() called after finish()")
         if len(block) == 0:

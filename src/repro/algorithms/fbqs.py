@@ -101,8 +101,10 @@ class FBQSSimplifier(SegmentCascadeMixin):
         self._previous_index = self._index
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
+    def push_block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Feed a whole SoA block of points as traced ``(count, segments)`` steps.
 
         Runs of candidates are bulk-accepted through the vectorized
         corner-radius screen
@@ -114,15 +116,6 @@ class FBQSSimplifier(SegmentCascadeMixin):
         decisions and state — including :meth:`snapshot` — are
         byte-identical to per-point ingest.
         """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block` (see ``OPERBSimplifier``)."""
         if self._finished:
             raise SimplificationError("push() called after finish()")
         if len(block) == 0:

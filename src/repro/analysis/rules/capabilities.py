@@ -3,14 +3,17 @@
 The capability flags on :class:`repro.api.AlgorithmDescriptor` are routing
 decisions: ``checkpointable`` sends live hub streams through
 ``snapshot()``/``restore()``, ``batched`` sends SoA blocks through
-``push_block``, ``pyramid`` sends a finer level's segments through the
-``push_segment`` re-ingest hook, and a ``streaming_factory`` at all
-promises ``push`` and ``finish``.  A flag whose methods do not exist fails deep inside a fleet
-run or a checkpoint, not at registration.  This rule statically follows
-``streaming_factory=`` from each ``register_algorithm``/
-``AlgorithmDescriptor`` call to the class it instantiates (directly, or via
-a helper function's return annotation) and checks the promised methods are
-actually defined.  Factories it cannot resolve are skipped, never guessed.
+``push_block_steps`` (the one block method sessions, the hub and the
+pyramid drive, via ``iter_block_steps``), ``pyramid`` sends a finer level's
+segments through the ``push_segment`` re-ingest hook, and a
+``streaming_factory`` at all promises ``push`` and ``finish``.  A flag whose
+methods do not exist fails deep inside a fleet run or a checkpoint, not at
+registration — or, for ``batched``, silently takes the per-point fallback.
+This rule statically follows ``streaming_factory=`` from each
+``register_algorithm``/``AlgorithmDescriptor`` call to the class it
+instantiates (directly, or via a helper function's return annotation) and
+checks the promised methods are actually defined.  Factories it cannot
+resolve are skipped, never guessed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ _REGISTRATION_CALLS = ("register_algorithm", "AlgorithmDescriptor")
 #: flag -> methods its simplifier class must define.
 FLAG_REQUIREMENTS: dict[str, tuple[str, ...]] = {
     "checkpointable": ("snapshot", "restore"),
-    "batched": ("push_block",),
+    "batched": ("push_block_steps",),
     "pyramid": ("push_segment",),
 }
 
@@ -69,7 +72,7 @@ class CapabilityConsistencyRule(Rule):
     description = (
         "descriptor capability flags must match the methods the streaming "
         "factory's class actually defines (checkpointable => snapshot/"
-        "restore, batched => push_block, pyramid => push_segment, "
+        "restore, batched => push_block_steps, pyramid => push_segment, "
         "streaming => push/finish)"
     )
 

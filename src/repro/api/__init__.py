@@ -11,10 +11,10 @@ streaming factory + capability flags) in one registry; the
 - ``.run_many(trajectories, workers=N)`` — fleet-scale execution over
   node worker processes with per-trajectory error isolation.
 
-The CLI, the experiment harness, the streaming pipelines and
-:func:`repro.metrics.evaluate_fleet` all dispatch through here; the legacy
-``ALGORITHMS`` / ``STREAMING_ALGORITHMS`` dicts are deprecation-shimmed
-views over this registry.  Register new algorithms with
+The CLI, the experiment harness, the streaming hub and
+:func:`repro.metrics.evaluate_fleet` all dispatch through here, and there is
+no second registry: look algorithms up with :func:`get_descriptor` /
+:func:`list_descriptors` and register new ones with
 :func:`register_algorithm`.
 """
 

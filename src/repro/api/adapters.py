@@ -24,11 +24,11 @@ class BufferedBatchAdapter:
     measure what the batch requirement costs in latency and memory.
 
     The buffer is chunked: per-point pushes append :class:`Point` objects,
-    :meth:`push_block` appends whole :class:`~repro.trajectory.PointBlock`
-    chunks in O(1) — block ingest costs nothing per point, and :meth:`finish`
-    concatenates the chunks into coordinate arrays without rebuilding Python
-    objects.  Interleaving ``push`` and ``push_block`` preserves arrival
-    order.
+    :meth:`push_block_steps` appends whole
+    :class:`~repro.trajectory.PointBlock` chunks in O(1) — block ingest
+    costs nothing per point, and :meth:`finish` concatenates the chunks into
+    coordinate arrays without rebuilding Python objects.  Interleaving
+    ``push`` and block ingest preserves arrival order.
 
     Keyword arguments are validated against the algorithm's descriptor at
     construction time, so a misconfigured adapter fails before any points
@@ -62,25 +62,22 @@ class BufferedBatchAdapter:
         self._buffered += 1
         return []
 
-    def push_block(self, block: PointBlock) -> list[SegmentRecord]:
-        """Buffer a whole block in O(1); nothing can be emitted early."""
+    def push_block_steps(
+        self, block: PointBlock
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Buffer a whole block in O(1); returns one silent traced step.
+
+        The block is buffered eagerly, before the returned iterator is
+        driven; nothing can be emitted early.
+        """
         if self._finished:
             raise SimplificationError(
                 f"cannot push to a finished {self.name!r} adapter"
             )
         if len(block) == 0:
-            return []
+            return iter(())
         self._chunks.append(block)
         self._buffered += len(block)
-        return []
-
-    def push_block_steps(
-        self, block: PointBlock
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced block ingest: one silent step (pushes never emit)."""
-        self.push_block(block)
-        if len(block) == 0:
-            return iter(())
         return iter(((len(block), []),))
 
     def push_segment(

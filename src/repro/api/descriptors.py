@@ -24,7 +24,7 @@ routes on:
     :class:`repro.streaming.StreamHub` relies on).
 ``batched``
     Instances produced by the streaming factory implement the block-ingest
-    protocol (``push_block``/``push_block_steps`` over
+    protocol (``push_block_steps`` over
     :class:`repro.trajectory.PointBlock`), feeding SoA point blocks to the
     vectorized kernels instead of per-point Python.  Algorithms without it
     still accept blocks everywhere — sessions and the hub fall back to a
@@ -42,7 +42,7 @@ New algorithms are registered with the :func:`register_algorithm` decorator::
         ...
 
 and immediately become available to :class:`repro.api.Simplifier`, the CLI,
-the experiment harness and the deprecated ``ALGORITHMS`` views.
+the experiment harness and the streaming hub.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class AlgorithmDescriptor:
         :class:`repro.api.BufferedBatchAdapter`, which snapshots its buffer.
     batched:
         True when the streaming factory's instances support native block
-        ingest (``push_block``/``push_block_steps``; requires a streaming
+        ingest (``push_block_steps``; requires a streaming
         factory).  Batch-only algorithms always ingest blocks natively
         behind the buffered adapter, which appends each block in O(1).
     pyramid:

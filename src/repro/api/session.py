@@ -120,8 +120,8 @@ class StreamSession:
             raise SimplificationError(
                 f"cannot push to a finished {self.algorithm!r} stream session"
             )
-        self._pushes += 1
         emitted = list(self._raw.push(point))
+        self._pushes += 1
         if self._keep_segments:
             self._segments.extend(emitted)
         return emitted
@@ -136,31 +136,14 @@ class StreamSession:
     def push_block(self, block: PointBlock) -> list[SegmentRecord]:
         """Feed a whole SoA block of points; returns the finalised segments.
 
-        Produces byte-identical segments (and session snapshots) to pushing
-        the block's points one at a time — the block boundary is purely an
-        execution choice.  Algorithms whose simplifier implements the native
-        block protocol (``descriptor.batched``, or any batch-only algorithm
-        behind the buffered adapter) run their vectorized fast path; others
-        fall back to a correct per-point loop.  An empty block is a cheap
-        no-op that touches no statistics.
+        The flattened form of :meth:`iter_block`: byte-identical segments
+        (and session snapshots) to pushing the block's points one at a time,
+        the block boundary being purely an execution choice.  An empty
+        block is a cheap no-op that touches no statistics.
         """
-        if self._finished:
-            raise SimplificationError(
-                f"cannot push to a finished {self.algorithm!r} stream session"
-            )
-        n = len(block)
-        if n == 0:
-            return []
-        native = getattr(self._raw, "push_block", None)
-        if native is not None:
-            emitted = list(native(block))
-        else:
-            emitted = []
-            for _, segments in iter_block_steps(self._raw, block):
-                emitted.extend(segments)
-        self._pushes += n
-        if self._keep_segments:
-            self._segments.extend(emitted)
+        emitted: list[SegmentRecord] = []
+        for _, segments in self.iter_block(block):
+            emitted.extend(segments)
         return emitted
 
     def push_segment(
@@ -183,8 +166,8 @@ class StreamSession:
                 f"algorithm {self.algorithm!r} does not implement the "
                 f"push_segment re-ingest hook (pyramid capability)"
             )
-        self._pushes += 2 if include_start else 1
         emitted = list(native(segment, include_start=include_start))
+        self._pushes += 2 if include_start else 1
         if self._keep_segments:
             self._segments.extend(emitted)
         return emitted

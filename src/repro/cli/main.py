@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="records per shipped ingest batch; shard workers regroup each "
         "batch into per-device SoA point blocks for the vectorized "
-        "push_block path (default 4096; purely an execution knob — any "
+        "block-ingest path (default 4096; purely an execution knob — any "
         "value produces byte-identical output)",
     )
     serve.add_argument(

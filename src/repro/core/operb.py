@@ -153,9 +153,14 @@ class OPERBSimplifier(SegmentCascadeMixin):
         self._previous_point = point
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
+    def push_block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Feed a whole SoA block of points as traced ``(count, segments)`` steps.
 
+        Each step ingests ``count`` further points of the block; ``segments``
+        are the ones finalised by the last of them (empty for bulk-absorbed
+        runs), so driving the steps reproduces per-push emission positions.
         Byte-identical to pushing the block's points one at a time — same
         segments, same statistics, same :meth:`snapshot` — but runs of
         absorbed points (pre-direction points near the anchor, inactive
@@ -163,21 +168,6 @@ class OPERBSimplifier(SegmentCascadeMixin):
         optimisation 5) are detected with one vectorized prefix-kernel call
         each instead of per-point Python.  Only the run-breaking points go
         through the scalar :meth:`push`.
-        """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block`: ``(count, segments)`` steps.
-
-        Each step ingests ``count`` further points of the block; ``segments``
-        are the ones finalised by the last of them (empty for bulk-absorbed
-        runs).  Consumers that account per-push emission positions (the
-        stream hub's lag counters) drive this instead of :meth:`push_block`.
         """
         if self._finished:
             raise SimplificationError("push() called after finish()")

@@ -104,23 +104,16 @@ class OPERBASimplifier(SegmentCascadeMixin):
             emitted.extend(self._accept(segment))
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
+    def push_block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Feed a whole SoA block of points as traced ``(count, segments)`` steps.
 
         The OPERB engine underneath ingests the block through its vectorized
         fast path; every segment it finalises runs through the same lazy
         patching buffer as in per-point mode, so the output (and
         :meth:`snapshot`) is byte-identical to pushing point by point.
         """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block` (see ``OPERBSimplifier``)."""
         if self._finished:
             raise SimplificationError("push() called after finish()")
         if len(block) == 0:

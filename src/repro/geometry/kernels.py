@@ -46,7 +46,7 @@ simplifier state absorb without changing?" in one array pass.  Their
 floating-point operations are chosen to be *bit-identical* to the scalar
 per-point streaming code (``sqrt(dx*dx + dy*dy)`` instead of ``hypot``,
 cross/dot sign tests instead of ``atan2`` comparisons), which is what lets
-``push_block`` produce byte-identical segments and checkpoints to per-point
+``push_block_steps`` produce byte-identical segments and checkpoints to per-point
 ``push`` — the scalar backend of each prefix kernel performs the identical
 per-point arithmetic and serves as the equivalence oracle.
 """

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -55,6 +56,11 @@ REPORT_FORMAT = 1
 """Version stamp of the JSON layout, bumped on incompatible changes."""
 
 _CALIBRATION_POINTS = 20_000
+
+_CALIBRATION_READINGS = 5
+"""Calibration readings per report; the median is stamped.  One reading
+swings by 2x between runs on a busy host, and ``compare`` rescales every
+baseline cell by it, so a single spike could trip the regression gate."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +239,9 @@ def machine_metadata(*, calibrate: bool = True) -> dict[str, object]:
         "created_unix": time.time(),
     }
     if calibrate:
-        meta["calibration_pps"] = calibration_points_per_second()
+        meta["calibration_pps"] = statistics.median(
+            calibration_points_per_second() for _ in range(_CALIBRATION_READINGS)
+        )
     return meta
 
 

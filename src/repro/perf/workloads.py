@@ -26,7 +26,7 @@ These suites ship by default:
     ``Simplifier.run_many`` on every :mod:`repro.exec` backend.
 ``blocks``
     Block-ingest workloads: an idle-heavy fleet (dense dwell phases, the
-    regime the SoA ``push_block`` path is built for) replayed through the
+    regime the SoA ``push_block_steps`` path is built for) replayed through the
     hub with a large ``block_size`` on the serial, thread and node
     backends — the suite that demonstrates the thread backend beating
     serial on hub ingest once shard workers do vectorized block work.

@@ -1,5 +1,11 @@
-"""Streaming (push-based) simplification pipelines, the multi-device hub
-with checkpoint/restore, and accounting wrappers."""
+"""Streaming infrastructure around :class:`repro.api.StreamSession`.
+
+The multi-device hub with checkpoint/restore, the epsilon pyramid, segment
+sinks, the columnar wire codec and the one-pass accounting wrappers.  A
+single stream is opened with ``repro.api.Simplifier(name, epsilon)
+.open_stream()``; :class:`BufferedBatchAdapter` (re-exported from
+:mod:`repro.api`) is what such a session wraps batch-only algorithms in.
+"""
 
 from .checkpoint import (
     load_checkpoint,
@@ -18,8 +24,7 @@ from .hub import (
     StreamHub,
     shard_index,
 )
-from .interface import STREAMING_ALGORITHMS, BufferedBatchAdapter, make_streaming_simplifier
-from .pipeline import PipelineResult, StreamingPipeline, run_pipeline
+from ..api.adapters import BufferedBatchAdapter
 from .pyramid import PyramidSession, validate_epsilon_ladder
 from .sinks import (
     CollectingSink,
@@ -45,7 +50,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FRAME_TYPES",
     "POINT_BATCH_FORMATS",
-    "STREAMING_ALGORITHMS",
     "BufferedBatchAdapter",
     "CollectingSink",
     "CountingPointSource",
@@ -56,25 +60,21 @@ __all__ = [
     "FrameType",
     "HubShard",
     "HubStats",
-    "PipelineResult",
     "PyramidSession",
     "SegmentSink",
     "StatisticsSink",
     "StreamHub",
-    "StreamingPipeline",
     "close_sink",
     "decode_frame",
     "encode_frame",
     "flush_sink",
     "group_records",
     "load_checkpoint",
-    "make_streaming_simplifier",
     "pack_frame",
     "read_frame",
     "read_point_log",
     "register_frame",
     "restore_hub",
-    "run_pipeline",
     "save_checkpoint",
     "shard_index",
     "validate_epsilon_ladder",

@@ -27,7 +27,7 @@ and byte-identical checkpoints, a property the test suite locks in.
 Concurrent workers ingest in *blocks*: every ``push_many`` batch
 (``block_size`` records, default :data:`DEFAULT_BLOCK_SIZE`) is regrouped
 into per-device :class:`~repro.trajectory.PointBlock` SoA blocks and fed
-through the simplifiers' ``push_block`` fast path, so shard workers
+through the simplifiers' ``push_block_steps`` fast path, so shard workers
 run the vectorized prefix kernels of :mod:`repro.geometry.kernels` instead
 of per-point Python — which both cuts the GIL-bound interpreter work per
 record and is what finally lets the thread backend beat serial on hub
@@ -318,13 +318,6 @@ class DeviceStream:
                 self.max_lag = self.lag
             self._account(emitted)
             yield count, emitted
-
-    def push_block(self, block: PointBlock) -> list[SegmentRecord]:
-        """Feed a block of fixes; returns all segments it finalised."""
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.iter_block(block):
-            emitted.extend(segments)
-        return emitted
 
     def finish(self) -> list[SegmentRecord]:
         """Flush the stream; returns the trailing segments."""
@@ -847,7 +840,7 @@ class StreamHub:
         Records buffered per shard worker before ``push_many`` ships a
         batch (default :data:`DEFAULT_BLOCK_SIZE`).  Each batch is regrouped
         into per-device SoA point blocks that drive the
-        simplifiers' vectorized ``push_block`` path, so a device's share of
+        simplifiers' vectorized ``push_block_steps`` path, so a device's share of
         a batch is the block size its kernels see.  Purely an execution
         knob: any value produces byte-identical per-device segments and
         checkpoints.
@@ -1456,7 +1449,7 @@ class StreamHub:
         concurrent backends ingest asynchronously (records are shipped to
         the shard workers in ``block_size``-record batches, regrouped into
         per-device SoA blocks for the simplifiers' vectorized
-        ``push_block`` path) and return ``0`` — read
+        ``push_block_steps`` path) and return ``0`` — read
         ``stats().segments_emitted`` after a synchronising call instead.
         A device seen for the first time costs no round trip: its
         registration rides the shard worker's ordered mailbox ahead of its

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+from ..algorithms.base import iter_block_steps
 from ..api.session import Simplifier, StreamSession, open_raw_stream
 from ..exceptions import InvalidParameterError, SimplificationError
 from ..geometry.point import Point, encode_point
@@ -64,10 +65,10 @@ from ..trajectory.soa import PointBlock
 __all__ = ["PyramidSession", "validate_epsilon_ladder"]
 
 _BLOCK_FEED_MIN = 16
-"""Cascade batches at least this long ride the vectorized ``push_block``
-path of the cascade simplifier instead of per-segment ``push_segment``
-(identical output either way — block boundaries are an execution choice);
-below it, packing an SoA block costs more than it saves."""
+"""Cascade batches at least this long ride the vectorized block path
+(``push_block_steps``) of the cascade simplifier instead of per-segment
+``push_segment`` (identical output either way — block boundaries are an
+execution choice); below it, packing an SoA block costs more than it saves."""
 
 _VERIFY_LINES = 64
 """How many recent coarse output lines a level's verifier keeps as
@@ -305,8 +306,7 @@ class PyramidSession:
             cascade = self._cascades[i]
             verifier = self._verify[i]
             out: list[SegmentRecord] = []
-            push_block = getattr(cascade, "push_block", None)
-            if push_block is not None and len(segments) >= _BLOCK_FEED_MIN:
+            if len(segments) >= _BLOCK_FEED_MIN:
                 # A long batch (block ingest on the finest level) is packed
                 # into one SoA block so the cascade runs its vectorized
                 # prefix kernels over the endpoint stream instead of one
@@ -323,7 +323,8 @@ class PyramidSession:
                     verifier.register(segment, include_start)
                     self._primed[i] = True
                     self._tails[i] = segment.end
-                out = list(push_block(PointBlock.from_points(points)))
+                for _, emitted in iter_block_steps(cascade, PointBlock.from_points(points)):
+                    out.extend(emitted)
             else:
                 for segment in segments:
                     # The very first segment (or a joint the finer level

@@ -8,7 +8,7 @@ per-point object overhead on the hottest path in the system.  A *frame*
 instead carries each device's points as three little-endian ``float64``
 columns plus the device id, so encoding is three ``tobytes`` calls per
 device and decoding lands directly in the SoA blocks the simplifiers'
-vectorized ``push_block`` path consumes.
+vectorized ``push_block_steps`` path consumes.
 
 Frame model
 -----------

@@ -227,7 +227,7 @@ class PointBlock(TrajectoryArray):
 
     The unit of the block-based ingest protocol: where per-point streaming
     pushes one :class:`~repro.geometry.point.Point` at a time,
-    ``push_block(block)`` hands a whole SoA batch to the simplifier so its
+    ``push_block_steps(block)`` hands a whole SoA batch to the simplifier so its
     inner loops can run the vectorized prefix kernels of
     :mod:`repro.geometry.kernels` instead of per-point Python.  A block
     carries no trajectory semantics — it is simply "the next ``n`` points of

@@ -3,7 +3,7 @@
 Each test feeds a small in-memory module through :func:`analyze_source` and
 asserts the exact rule ids, line numbers and symbols reported — including
 the three seeded mutations the analysis gate exists to catch: a snapshot
-that drops a field, a ``batched`` registration without ``push_block``, and
+that drops a field, a ``batched`` registration without ``push_block_steps``, and
 a clock read on a kernel path.
 """
 
@@ -100,14 +100,18 @@ class TestCheckpointDriftRPA001:
 
 
 class TestCapabilityConsistencyRPA002:
-    def test_batched_without_push_block_is_reported(self):
-        # Seeded mutation: the class lost push_block but the registration
-        # still declares batched=True.
+    def test_batched_without_push_block_steps_is_reported(self):
+        # Seeded mutation: the class lost push_block_steps but the
+        # registration still declares batched=True.  A flattening
+        # push_block alone does not satisfy the flag: nothing drives it.
         findings = lint(
             """\
             class Simp:
                 def push(self, point):
                     pass
+
+                def push_block(self, block):
+                    return []
 
                 def finish(self):
                     return []
@@ -131,7 +135,7 @@ class TestCapabilityConsistencyRPA002:
             path=API_PATH,
             rules=["RPA002"],
         )
-        assert triples(findings) == [("RPA002", 15, "operb-x.batched")]
+        assert triples(findings) == [("RPA002", 18, "operb-x.batched")]
 
     def test_streaming_factory_without_push_finish(self):
         findings = lint(
@@ -248,8 +252,8 @@ class TestCapabilityConsistencyRPA002:
                 def push(self, point):
                     pass
 
-                def push_block(self, block):
-                    pass
+                def push_block_steps(self, block):
+                    return iter(())
 
                 def finish(self):
                     return []

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InvalidParameterError, SimplificationError
-from repro.api import BufferedBatchAdapter, Simplifier, get_descriptor
+from repro import InvalidParameterError, Point, PointBlock, SimplificationError
+from repro.api import (
+    BufferedBatchAdapter,
+    Simplifier,
+    get_descriptor,
+    register_algorithm,
+    unregister_algorithm,
+)
 
 
 class TestConstruction:
@@ -122,3 +128,48 @@ class TestStreamSession:
         assert not second.finished
         second.feed(two_points)
         assert second.finish() is not None
+
+
+class FailsOnPush:
+    """Streaming simplifier whose 26th push raises; emits every 10th point."""
+
+    def __init__(self, epsilon):
+        self.calls = 0
+
+    def push(self, point):
+        self.calls += 1
+        if self.calls == 26:
+            raise SimplificationError("injected failure on push 26")
+        return [self.calls] if self.calls % 10 == 0 else []
+
+    def finish(self):
+        return []
+
+
+class TestPointsPushedAfterFailure:
+    @pytest.fixture
+    def failing(self):
+        register_algorithm(
+            "fails-on-push-26",
+            streaming_factory=FailsOnPush,
+            streaming_kwargs=(),
+            summary="test-only streaming algorithm that fails mid-stream",
+        )(lambda trajectory, epsilon: None)
+        yield "fails-on-push-26"
+        unregister_algorithm("fails-on-push-26")
+
+    @pytest.mark.parametrize("ingest", ["push", "iter_block", "push_block"])
+    def test_counts_the_points_ingested_before_the_failure(self, failing, ingest):
+        """Every ingest form reports the 25 points the simplifier accepted."""
+        points = [Point(float(i), 0.0, float(i)) for i in range(40)]
+        stream = Simplifier(failing, 10.0).open_stream()
+        block = PointBlock.from_points(points)
+        with pytest.raises(SimplificationError, match="injected"):
+            if ingest == "push":
+                stream.feed(points)
+            elif ingest == "iter_block":
+                for _ in stream.iter_block(block):
+                    pass
+            else:
+                stream.push_block(block)
+        assert stream.points_pushed == 25

@@ -14,7 +14,7 @@ from repro import (
 from repro.datasets.noise import inject_duplicates, inject_out_of_order
 from repro.experiments import PAPER_ALGORITHMS
 from repro.metrics import check_error_bound, fleet_compression_ratio
-from repro.streaming import run_pipeline
+from repro.streaming import CollectingSink, CountingSimplifier
 from repro.trajectory.io import read_jsonl, write_jsonl
 from repro.trajectory.operations import drop_duplicate_points, sort_by_time
 
@@ -64,9 +64,20 @@ class TestMessyFeedWorkflow:
         cleaned = drop_duplicate_points(sort_by_time(messy))
         assert np.all(np.diff(cleaned.ts) >= 0.0)
 
-        result = run_pipeline(cleaned, 40.0, algorithm="operb-a")
-        assert check_error_bound(cleaned, result.representation, 40.0)
-        report = evaluate(cleaned, result.representation, 40.0)
+        sink = CollectingSink(algorithm="operb-a")
+        stream = CountingSimplifier(
+            Simplifier("operb-a", 40.0).open_stream(keep_segments=False)
+        )
+        for point in cleaned:
+            for segment in stream.push(point):
+                sink.accept(segment)
+        for segment in stream.finish():
+            sink.accept(segment)
+        assert stream.pushes == len(cleaned)
+        representation = sink.as_representation(len(cleaned))
+        assert representation.n_segments == stream.segments_emitted
+        assert check_error_bound(cleaned, representation, 40.0)
+        report = evaluate(cleaned, representation, 40.0)
         assert report.compression_ratio < 0.8
 
 

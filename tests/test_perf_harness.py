@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.perf import harness as harness_module
 from repro.perf import (
     GATING_ALGORITHMS,
     PerfCase,
@@ -455,6 +456,14 @@ class TestCompare:
 
 
 class TestMetadata:
+    def test_calibration_is_the_median_of_several_readings(self, monkeypatch):
+        readings = iter([1.3e6, 1.3e6, 2.8e6, 1.3e6, 1.3e6])
+        monkeypatch.setattr(
+            harness_module, "calibration_points_per_second", lambda: next(readings)
+        )
+        assert machine_metadata()["calibration_pps"] == 1.3e6
+        assert next(readings, None) is None  # every reading was taken
+
     def test_calibration_can_be_skipped(self):
         meta = machine_metadata(calibrate=False)
         assert "calibration_pps" not in meta

@@ -1,4 +1,4 @@
-"""Unit tests for the streaming pipeline, adapters and one-pass accounting."""
+"""Unit tests for stream sessions, adapters, sinks and one-pass accounting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro import InvalidParameterError, Point, SimplificationError, UnknownAlgorithmError
-from repro.api import get_descriptor, open_raw_stream
+from repro.api import Simplifier, get_descriptor, open_raw_stream
 from repro.metrics import check_error_bound
 from repro.streaming import (
     BufferedBatchAdapter,
@@ -16,8 +16,6 @@ from repro.streaming import (
     CountingSimplifier,
     CsvSegmentSink,
     StatisticsSink,
-    StreamingPipeline,
-    run_pipeline,
 )
 
 NATIVE_STREAMING = ("operb", "raw-operb", "operb-a", "raw-operb-a", "fbqs", "dead-reckoning")
@@ -26,6 +24,23 @@ NATIVE_STREAMING = ("operb", "raw-operb", "operb-a", "raw-operb-a", "fbqs", "dea
 def open_raw(name: str, epsilon: float, **kwargs):
     """Raw push/finish simplifier by name (native or buffered adapter)."""
     return open_raw_stream(get_descriptor(name), epsilon, **kwargs)
+
+
+def stream_into(sink, trajectory, epsilon: float, algorithm: str):
+    """Push ``trajectory`` fix by fix through a fire-and-forget session.
+
+    Every emitted segment goes straight to ``sink``; returns the counting
+    wrapper (pushes, emissions) and the number emitted before ``finish``.
+    """
+    session = Simplifier(algorithm, epsilon).open_stream(keep_segments=False)
+    counting = CountingSimplifier(session)
+    for point in trajectory:
+        for segment in counting.push(point):
+            sink.accept(segment)
+    before_finish = counting.segments_emitted
+    for segment in counting.finish():
+        sink.accept(segment)
+    return counting, before_finish
 
 
 class TestFactory:
@@ -108,53 +123,62 @@ class TestBufferedAdapter:
 
 class TestSinks:
     def test_collecting_sink(self, noisy_walk):
-        result = run_pipeline(noisy_walk, 25.0, algorithm="operb")
         sink = CollectingSink(algorithm="operb")
-        for segment in result.representation.segments:
-            sink.accept(segment)
-        assert sink.as_representation(len(noisy_walk)).n_segments == result.total_segments
+        counting, _ = stream_into(sink, noisy_walk, 25.0, "operb")
+        representation = sink.as_representation(len(noisy_walk))
+        assert representation.n_segments == counting.segments_emitted
+        expected = Simplifier("operb", 25.0).run(noisy_walk)
+        assert representation.segments == expected.segments
 
     def test_csv_sink_writes_rows(self, noisy_walk):
         buffer = io.StringIO()
-        result = run_pipeline(noisy_walk, 25.0, algorithm="operb")
         with CsvSegmentSink(buffer) as sink:
-            for segment in result.representation.segments:
-                sink.accept(segment)
+            counting, _ = stream_into(sink, noisy_walk, 25.0, "operb")
         lines = buffer.getvalue().strip().splitlines()
-        assert len(lines) == result.total_segments + 1
+        assert len(lines) == counting.segments_emitted + 1
 
     def test_statistics_sink(self, noisy_walk):
-        result = run_pipeline(noisy_walk, 25.0, algorithm="operb")
         sink = StatisticsSink()
-        for segment in result.representation.segments:
-            sink.accept(segment)
-        assert sink.segments_received == result.total_segments
-        assert sink.points_covered >= result.total_segments + 1
+        counting, _ = stream_into(sink, noisy_walk, 25.0, "operb")
+        assert sink.segments_received == counting.segments_emitted
+        assert sink.points_covered >= counting.segments_emitted + 1
         assert sink.total_length > 0.0
 
 
 class TestPipeline:
+    """Source -> stream session -> sink, accounted by CountingSimplifier."""
+
     def test_pipeline_result_structure(self, taxi_trajectory):
-        result = StreamingPipeline("operb", 40.0).run_trajectory(taxi_trajectory)
-        assert result.points_processed == len(taxi_trajectory)
-        assert result.total_segments == result.representation.n_segments
-        assert result.representation.source_size == len(taxi_trajectory)
+        sink = CollectingSink(algorithm="operb")
+        counting, _ = stream_into(sink, taxi_trajectory, 40.0, "operb")
+        assert counting.pushes == len(taxi_trajectory)
+        assert counting.inner.points_pushed == len(taxi_trajectory)
+        representation = sink.as_representation(len(taxi_trajectory))
+        assert representation.n_segments == counting.segments_emitted
+        assert representation.source_size == len(taxi_trajectory)
 
     def test_streaming_emits_most_segments_before_finish(self, taxi_trajectory):
-        result = run_pipeline(taxi_trajectory, 40.0, algorithm="operb")
+        counting, before_finish = stream_into(
+            CollectingSink(), taxi_trajectory, 40.0, "operb"
+        )
         # A one-pass algorithm emits continuously; only the trailing segment
         # or two wait for finish().
-        assert result.segments_after_finish <= 2
-        assert result.segments_before_finish >= result.total_segments - 2
+        assert counting.segments_emitted - before_finish <= 2
+        assert before_finish >= counting.segments_emitted - 2
 
     def test_batch_adapter_emits_everything_at_finish(self, taxi_trajectory):
-        result = run_pipeline(taxi_trajectory, 40.0, algorithm="dp")
-        assert result.segments_before_finish == 0
-        assert result.segments_after_finish == result.total_segments
+        counting, before_finish = stream_into(
+            CollectingSink(), taxi_trajectory, 40.0, "dp"
+        )
+        assert before_finish == 0
+        assert counting.segments_emitted > 0
+        assert counting.max_segments_per_push == 0
 
     def test_pipeline_output_is_error_bounded(self, taxi_trajectory):
-        result = run_pipeline(taxi_trajectory, 40.0, algorithm="operb-a")
-        assert check_error_bound(taxi_trajectory, result.representation, 40.0)
+        sink = CollectingSink(algorithm="operb-a")
+        stream_into(sink, taxi_trajectory, 40.0, "operb-a")
+        representation = sink.as_representation(len(taxi_trajectory))
+        assert check_error_bound(taxi_trajectory, representation, 40.0)
 
 
 class TestStreamingEdgeCases:

@@ -489,7 +489,9 @@ class TestFinishedAndEmptyBlocks:
 
     @pytest.mark.parametrize("algorithm", sorted(BATCHED_NATIVE) + ["dp"])
     def test_raw_push_block_after_finish_raises_like_push(self, algorithm):
-        """The raw simplifiers (not just the session) enforce the lifecycle."""
+        """The raw simplifiers' block method (``push_block_steps``) enforces
+        the lifecycle too, eagerly: the error surfaces before any step is
+        driven."""
         raw = Simplifier(algorithm, 25.0).open_stream().native
         raw.push(Point(0.0, 0.0, 0.0))
         raw.finish()
@@ -497,10 +499,8 @@ class TestFinishedAndEmptyBlocks:
         with pytest.raises(SimplificationError) as push_error:
             raw.push(Point(1.0, 1.0, 1.0))
         with pytest.raises(SimplificationError) as block_error:
-            raw.push_block(block)
-        assert str(block_error.value) == str(push_error.value)
-        with pytest.raises(SimplificationError):
             raw.push_block_steps(block)
+        assert str(block_error.value) == str(push_error.value)
 
     @pytest.mark.parametrize("algorithm", sorted(CHECKPOINTABLE_STREAMING))
     def test_empty_block_is_a_cheap_no_op(self, algorithm):
@@ -517,7 +517,7 @@ class TestFinishedAndEmptyBlocks:
         assert isinstance(raw, OPERBSimplifier)
         raw.push(Point(0.0, 0.0, 0.0))
         stats_before = dict(vars(raw.stats))
-        assert raw.push_block(PointBlock.empty()) == []
+        assert list(raw.push_block_steps(PointBlock.empty())) == []
         assert dict(vars(raw.stats)) == stats_before
 
     def test_empty_block_after_finish_still_raises(self):
@@ -656,9 +656,12 @@ class TestBufferedAdapterBlocks:
         adapter = BufferedBatchAdapter("dp", 10.0)
         points = [Point(float(i), 0.0, float(i)) for i in range(100)]
         adapter.push(points[0])
-        assert adapter.push_block(PointBlock.from_points(points[1:50])) == []
+        steps = adapter.push_block_steps(PointBlock.from_points(points[1:50]))
+        assert adapter.buffered_points == 50  # buffered before the steps are driven
+        assert list(steps) == [(49, [])]
         adapter.push(points[50])
-        assert adapter.push_block(PointBlock.from_points(points[51:])) == []
+        assert list(adapter.push_block_steps(PointBlock.from_points(points[51:]))) == [(49, [])]
+        assert list(adapter.push_block_steps(PointBlock.empty())) == []
         assert adapter.buffered_points == 100
         segments = adapter.finish()
         reference = BufferedBatchAdapter("dp", 10.0)
@@ -672,10 +675,10 @@ class TestBufferedAdapterBlocks:
         for point in points:
             per_point.push(point)
         blocked = BufferedBatchAdapter("dp", 10.0)
-        blocked.push_block(PointBlock.from_points(points[:13]))
+        list(blocked.push_block_steps(PointBlock.from_points(points[:13])))
         for point in points[13:17]:
             blocked.push(point)
-        blocked.push_block(PointBlock.from_points(points[17:]))
+        list(blocked.push_block_steps(PointBlock.from_points(points[17:])))
         assert json.dumps(blocked.snapshot(), sort_keys=True) == json.dumps(
             per_point.snapshot(), sort_keys=True
         )
@@ -683,7 +686,7 @@ class TestBufferedAdapterBlocks:
     def test_adapter_restore_roundtrip_matches(self):
         points = [Point(float(i), float(i % 7), float(i)) for i in range(40)]
         source = BufferedBatchAdapter("dp", 10.0)
-        source.push_block(PointBlock.from_points(points))
+        list(source.push_block_steps(PointBlock.from_points(points)))
         state = json.loads(json.dumps(source.snapshot(), allow_nan=False))
         restored = BufferedBatchAdapter("dp", 10.0)
         restored.restore(state)
